@@ -38,6 +38,7 @@ from .worldbank import (
     GDP_PER_CAPITA,
     TOTAL_POPULATION,
     IndicatorRequest,
+    _write_series,
     cache_path,
     default_cache_dir,
     demo_matrix,
@@ -65,16 +66,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _sos_list(text: str) -> tuple[float, ...]:
+def _sos_list(text: str) -> StateSize:
     try:
-        deltas = tuple(float(part) for part in text.split(","))
-    except ValueError:
+        return StateSize(tuple(float(part) for part in text.split(",")))
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"{text!r} is not a comma-separated list of numbers"
+            f"{text!r} is not a comma-separated list of state sizes: {exc}"
         ) from None
-    if any(d < 0 for d in deltas):
-        raise argparse.ArgumentTypeError("state sizes must be >= 0")
-    return deltas
 
 
 def _index_range(text: str) -> tuple[int, int]:
@@ -186,7 +184,7 @@ def _resolve_state_size(args, matrix: TimeSeriesMatrix) -> tuple[StateSize, dict
                 f"--sos lists {len(args.sos)} values but the input has "
                 f"{matrix.n_vars} variable(s)"
             )
-        return StateSize(args.sos), {"sos_source": "explicit", "k": None, "stable_range": None}
+        return args.sos, {"sos_source": "explicit", "k": None, "stable_range": None}
     k = args.k if args.k is not None else DEFAULT_K
     cfg = SosConfig(k=k, stable_range=args.stable_range)
     delta = estimate_state_size(matrix, cfg)
@@ -307,8 +305,6 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_fetch(args) -> int:
-    if args.start > args.end:
-        raise ValueError(f"--start {args.start} exceeds --end {args.end}")
     req = IndicatorRequest(args.country, args.indicator, (args.start, args.end))
     directory = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     series = fetch_indicator(req, directory, offline=args.offline)
@@ -316,9 +312,7 @@ def _cmd_fetch(args) -> int:
           f"{series[0][0]}..{series[-1][0]} (cache: {cache_path(req, directory)})")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("year,value\n")
-            for year, value in series:
-                fh.write(f"{year},{value!r}\n")
+            _write_series(fh, series)
     return 0
 
 

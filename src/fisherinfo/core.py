@@ -170,34 +170,26 @@ def validate_matrix(
     labels = tuple(str(lab) for lab in labels)
     times = tuple(float(t) for t in times)
     n = len(labels)
-    t_count = len(times)
-    rows = [tuple(row) for row in values]
+    rows = list(values)
 
     if n == 0:
         raise EmptyInput("no variables: at least one variable column is required")
-    if t_count == 0 or len(rows) == 0:
+    if len(times) == 0 or len(rows) == 0:
         raise EmptyInput("no data rows: at least one time step is required")
-    if len(rows) != t_count:
-        raise NonUniformTimeAxis(
-            f"{len(rows)} value rows but {t_count} time stamps"
-        )
-
-    grid = np.empty((t_count, n), dtype=float)
+    if len(rows) != len(times):
+        raise NonUniformTimeAxis(f"{len(rows)} value rows but {len(times)} time stamps")
     for j, row in enumerate(rows):
         if len(row) != n:
-            raise MissingValue(
-                f"row {j} has {len(row)} values, expected {n}",
-                row=j,
-            )
-        for i, cell in enumerate(row):
-            x = float(cell)
-            if not math.isfinite(x):
-                raise MissingValue(
-                    f"non-finite value at row {j}, column {labels[i]!r}: {cell!r}",
-                    row=j,
-                    column=i,
-                )
-            grid[j, i] = x
+            raise MissingValue(f"row {j} has {len(row)} values, expected {n}", row=j)
+
+    # one conversion for the whole grid; the first bad cell is located only on failure
+    grid = np.array(rows, dtype=float)
+    finite = np.isfinite(grid)
+    if not finite.all():
+        j, i = (int(k) for k in np.argwhere(~finite)[0])
+        raise MissingValue(
+            f"non-finite value at row {j}, column {labels[i]!r}: {rows[j][i]!r}", row=j, column=i
+        )
 
     _check_time_axis(times)
 

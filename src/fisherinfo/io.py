@@ -84,7 +84,7 @@ def _read_csv_stream(fh: IO[str], name: str) -> TimeSeriesMatrix:
 
 def _parse_cell(cell: str, name: str, line_no: int, column: str) -> float:
     try:
-        return float(cell.strip())
+        return float(cell)  # float() itself ignores surrounding whitespace
     except ValueError:
         raise ParseError(
             f"{name}: line {line_no}, column {column!r}: cannot parse {cell.strip()!r} as a number",

@@ -8,17 +8,16 @@ fixture) makes the whole demonstration pipeline reproducible offline.
 """
 from __future__ import annotations
 
-import csv
 import importlib.resources
 import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
+from typing import IO
 
 from .core import TimeSeriesMatrix, validate_matrix
 from .errors import GapInSeries, NetworkError, NotFound, RangeMismatch
+from .io import _parse_cell
 
 API_BASE = "https://api.worldbank.org/v2"
 REQUEST_TIMEOUT = 30.0
@@ -69,10 +68,18 @@ def default_cache_dir() -> Path:
 
 
 def _get_json(url: str, params: dict, timeout: float) -> object:
-    """One HTTP GET returning decoded JSON.  Kept separate for test doubles."""
-    response = requests.get(url, params=params, timeout=timeout)
-    response.raise_for_status()
-    return response.json()
+    """One HTTP GET returning decoded JSON; any failure becomes NetworkError."""
+    import http.client  # network modules load only when a fetch runs
+    import json
+    import urllib.parse
+    import urllib.request
+
+    try:
+        with urllib.request.urlopen(f"{url}?{urllib.parse.urlencode(params)}", timeout=timeout) as r:
+            return json.load(r)
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        # OSError: URLError, HTTPError (status >= 400), timeouts; ValueError: bad JSON
+        raise NetworkError(f"World Bank API request failed: {exc}") from exc
 
 
 def fetch_indicator(
@@ -89,16 +96,20 @@ def fetch_indicator(
 
     Raises NetworkError when offline with no cached copy or when the API
     is unreachable; NotFound for unknown indicator or country; GapInSeries
-    when any year inside the requested range is missing (gaps are reported,
-    never imputed).
+    when the years served are not exactly the requested range (gaps are
+    reported, never imputed); ParseError for a malformed cache row.
     """
     path = cache_path(req, cache_dir)
+    start, end = req.year_range
     if path.exists():
-        return _read_cache(path)
+        series = _read_cache(path)
+        if [y for y, _ in series] != list(range(start, end + 1)):
+            raise GapInSeries(f"{path}: cache file does not hold exactly the years {start}-{end}")
+        return [(int(y), v) for y, v in series]
     if offline:
         raise NetworkError(
             f"offline and no cached copy for {req.country_code}/{req.indicator_id} "
-            f"{req.year_range[0]}-{req.year_range[1]} (looked in {path})"
+            f"{start}-{end} (looked in {path})"
         )
 
     series = _fetch_remote(req, timeout)
@@ -110,10 +121,7 @@ def _fetch_remote(req: IndicatorRequest, timeout: float) -> list[tuple[int, floa
     start, end = req.year_range
     url = f"{API_BASE}/country/{req.country_code}/indicator/{req.indicator_id}"
     params = {"format": "json", "date": f"{start}:{end}", "per_page": 20000}
-    try:
-        payload = _get_json(url, params, timeout)
-    except requests.RequestException as exc:
-        raise NetworkError(f"World Bank API request failed: {exc}") from exc
+    payload = _get_json(url, params, timeout)
 
     # Error responses come back as a one-element list with a message block.
     if not isinstance(payload, list) or not payload:
@@ -152,17 +160,24 @@ def _summarize(years: list[int], limit: int = 8) -> str:
     return shown
 
 
-def _read_cache(path: Path) -> list[tuple[int, float]]:
-    series: list[tuple[int, float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        for row in reader:
-            if not row:
-                continue
-            series.append((int(row[0]), float(row[1])))
-    series.sort(key=lambda pair: pair[0])
-    return series
+def _read_cache(path: Path) -> list[tuple[float, float]]:
+    """Parse a `year,value` cache file; a malformed row raises ParseError."""
+    series = []
+    with open(path, "r", encoding="utf-8") as fh:
+        next(fh, None)  # header
+        for line_no, line in enumerate(fh, start=2):
+            if line.strip():
+                year, _, value = line.partition(",")  # a missing or extra cell spoils value
+                series.append((_parse_cell(year, str(path), line_no, "year"),
+                               _parse_cell(value, str(path), line_no, "value")))
+    return sorted(series)
+
+
+def _write_series(fh: IO[str], series: list[tuple[int, float]]) -> None:
+    """Write (year, value) pairs in the `year,value` cache format."""
+    fh.write("year,value\n")
+    for year, value in series:
+        fh.write(f"{year},{value!r}\n")
 
 
 def _write_cache(path: Path, series: list[tuple[int, float]]) -> None:
@@ -171,9 +186,7 @@ def _write_cache(path: Path, series: list[tuple[int, float]]) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("year,value\n")
-            for year, value in series:
-                fh.write(f"{year},{value!r}\n")
+            _write_series(fh, series)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import fisherinfo.worldbank as wb
 from fisherinfo import SosPrecedenceWarning
 from fisherinfo.cli import main
 
@@ -89,6 +90,14 @@ class TestCompute:
         assert code == 1
         assert "DimensionMismatch" in err
 
+    @pytest.mark.parametrize("sos", ["nan", "-1", "0.5,nan", "x"])
+    def test_invalid_sos_is_a_usage_error_naming_the_option(self, worked_csv_path, capsys, sos):
+        # rejected at parse time, before the arity check that would exit 1
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", str(worked_csv_path), "--sos", sos])
+        assert exc.value.code == 2
+        assert "--sos" in capsys.readouterr().err
+
     def test_bad_range_syntax_exits_2(self, worked_csv_path):
         with pytest.raises(SystemExit) as exc:
             main(["compute", str(worked_csv_path), "--stable-range", "5:2"])
@@ -161,6 +170,15 @@ class TestDemo:
         assert code == 1
         assert "NetworkError" in err
 
+    def test_truncated_cache_exits_1(self, capsys, tmp_path):
+        for indicator in (wb.GDP_PER_CAPITA, wb.TOTAL_POPULATION):
+            req = wb.IndicatorRequest(wb.DEMO_COUNTRY, indicator, wb.DEMO_YEARS)
+            lines = wb.cache_path(req, wb.fixture_cache_dir()).read_text().splitlines()
+            wb.cache_path(req, tmp_path).write_text("\n".join(lines[:-1]) + "\n")
+        code, _, err = run(["demo", "--cache-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert "GapInSeries" in err
+
     def test_cache_dir_env_override(self, capsys, tmp_path, monkeypatch):
         from fisherinfo.worldbank import CACHE_DIR_ENV
 
@@ -190,6 +208,44 @@ class TestFetch:
         )
         assert code == 1
         assert "NetworkError" in err
+
+    def test_out_has_the_cache_file_bytes(self, capsys, tmp_path):
+        out = tmp_path / "series.csv"
+        code, _, _ = run(
+            ["fetch", "--indicator", "SP.POP.TOTL", "--offline", "--out", str(out)], capsys
+        )
+        assert code == 0
+        req = wb.IndicatorRequest(wb.DEMO_COUNTRY, wb.TOTAL_POPULATION, wb.DEMO_YEARS)
+        assert out.read_bytes() == wb.cache_path(req, wb.fixture_cache_dir()).read_bytes()
+
+    def test_truncated_cache_exits_1_naming_the_file(self, capsys, tmp_path):
+        req = wb.IndicatorRequest(wb.DEMO_COUNTRY, wb.TOTAL_POPULATION, wb.DEMO_YEARS)
+        fixture = wb.cache_path(req, wb.fixture_cache_dir()).read_text().splitlines()
+        path = wb.cache_path(req, tmp_path)
+        path.write_text("\n".join(fixture[:30]) + "\n")  # header + 1960..1988
+        code, out, err = run(
+            ["fetch", "--indicator", "SP.POP.TOTL", "--offline", "--cache-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "GapInSeries" in err
+        assert str(path) in err
+        assert out == ""
+
+    @pytest.mark.parametrize("bad_line", ["1961,lots", "1961"], ids=["non_numeric", "one_cell"])
+    def test_malformed_cache_exits_1_naming_file_line_and_column(
+        self, capsys, tmp_path, bad_line
+    ):
+        req = wb.IndicatorRequest(wb.DEMO_COUNTRY, wb.TOTAL_POPULATION, wb.DEMO_YEARS)
+        path = wb.cache_path(req, tmp_path)
+        path.write_text(f"year,value\n1960,1.0\n{bad_line}\n")
+        code, _, err = run(
+            ["fetch", "--indicator", "SP.POP.TOTL", "--offline", "--cache-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "ParseError" in err
+        assert f"{path}: line 3, column 'value'" in err
 
     def test_reversed_years_exit_2(self, capsys):
         code, _, err = run(["fetch", "--start", "2010", "--end", "2000"], capsys)

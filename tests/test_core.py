@@ -109,6 +109,44 @@ class TestValidateMatrix:
             for i, cell in enumerate(row):
                 assert m.values[j, i] == cell
 
+    @pytest.mark.parametrize(
+        "rows, row, column",
+        [
+            ([[float("inf"), 1.0], [2.0, 3.0], [4.0, 5.0]], 0, 0),
+            ([[0.0, 1.0], [2.0, 3.0], [4.0, float("-inf")]], 2, 1),
+            ([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0, 6.0]], 2, None),
+            ([[0.0, 1.0], [], [4.0, 5.0]], 1, None),
+        ],
+        ids=["plus_inf", "minus_inf", "long_row", "empty_row"],
+    )
+    def test_single_defect_reported_with_position(self, rows, row, column):
+        with pytest.raises(MissingValue) as exc:
+            validate_matrix(["a", "b"], [1, 2, 3], rows)
+        assert exc.value.row == row
+        assert exc.value.column == column
+
+    def test_nonfinite_message_names_label_and_cell(self):
+        with pytest.raises(MissingValue, match=r"row 1, column 'b': nan"):
+            validate_matrix(["a", "b"], [1, 2], [[0.0, 1.0], [2.0, float("nan")]])
+
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+                min_size=1, max_size=30,
+            )
+        )
+    )
+    def test_grid_equals_input_cell_for_cell(self, rows):
+        n = len(rows[0])
+        m = validate_matrix([f"v{i}" for i in range(n)], range(len(rows)), rows)
+        assert m.values.shape == (len(rows), n)
+        assert m.values.dtype == np.float64
+        for j, row in enumerate(rows):
+            for i, cell in enumerate(row):
+                # hex() tells -0.0 from 0.0 and keeps every bit of subnormals
+                assert float(m.values[j, i]).hex() == cell.hex()
+
 
 class TestStateSize:
     def test_accepts_zero_and_infinity(self):

@@ -72,6 +72,13 @@ class TestReadCsv:
         assert exc.value.line == 2
         assert exc.value.column == "t"
 
+    def test_padded_cells_parse_and_errors_show_the_stripped_cell(self):
+        m = read_csv(stdio.StringIO("t,Y1\n 1 ,\t0.5 \n2, 0.25\n"))
+        assert m.times == (1.0, 2.0)
+        assert m.values[:, 0].tolist() == [0.5, 0.25]
+        with pytest.raises(ParseError, match=r"cannot parse 'abc' as a number"):
+            read_csv(stdio.StringIO("t,Y1\n1,  abc \n"))
+
     def test_ragged_row_rejected(self):
         with pytest.raises(ParseError) as exc:
             read_csv(stdio.StringIO("t,Y1,Y2\n1,0.5\n"))

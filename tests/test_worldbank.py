@@ -1,11 +1,23 @@
+import http.client
+import io
+import json
+import os
+import subprocess
+import sys
+import urllib.error
+import urllib.request
+from pathlib import Path
+
 import pytest
 
+import fisherinfo
 import fisherinfo.worldbank as wb
 from fisherinfo import (
     GapInSeries,
     IndicatorRequest,
     NetworkError,
     NotFound,
+    ParseError,
     RangeMismatch,
     assemble_demo_matrix,
     demo_matrix,
@@ -38,6 +50,22 @@ def fake_api(monkeypatch):
         return state["payload"]
 
     monkeypatch.setattr(wb, "_get_json", _fake_get_json)
+    return state
+
+
+@pytest.fixture
+def fake_urlopen(monkeypatch):
+    """Patch urllib's urlopen under the real _get_json; configure its reply."""
+    state = {"body": b"", "raise_exc": None}
+
+    def _fake_urlopen(url, timeout):
+        state["url"] = url
+        state["timeout"] = timeout
+        if state["raise_exc"] is not None:
+            raise state["raise_exc"]
+        return io.BytesIO(state["body"])
+
+    monkeypatch.setattr(urllib.request, "urlopen", _fake_urlopen)
     return state
 
 
@@ -130,12 +158,104 @@ class TestFetchIndicator:
         assert not wb.cache_path(req, tmp_path).exists()
         assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_requests_failure_wrapped(self, fake_api, tmp_path):
-        import requests
-
-        fake_api["raise_exc"] = requests.ConnectionError("no dns")
+    def test_url_error_wrapped(self, fake_urlopen, tmp_path):
+        fake_urlopen["raise_exc"] = urllib.error.URLError("no dns")
         with pytest.raises(NetworkError):
             fetch_indicator(IndicatorRequest("USA", "X.Y", (2000, 2001)), tmp_path)
+
+
+class TestGetJson:
+    REQ = IndicatorRequest("USA", "X.Y", (2000, 2001))
+
+    def test_query_and_decoded_payload(self, fake_urlopen, tmp_path):
+        records = wb_records([(2001, 2.0), (2000, 1.0)])
+        fake_urlopen["body"] = json.dumps(wb_payload(records)).encode("utf-8")
+        series = fetch_indicator(self.REQ, tmp_path, timeout=7.5)
+        assert series == [(2000, 1.0), (2001, 2.0)]
+        base, _, query = fake_urlopen["url"].partition("?")
+        assert base == f"{wb.API_BASE}/country/USA/indicator/X.Y"
+        assert set(query.split("&")) == {"format=json", "date=2000%3A2001", "per_page=20000"}
+        assert fake_urlopen["timeout"] == 7.5
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            urllib.error.HTTPError(wb.API_BASE, 500, "Internal Server Error", None, None),
+            TimeoutError("timed out"),
+            http.client.IncompleteRead(b"[{"),
+        ],
+        ids=["http_500", "timeout", "incomplete_read"],
+    )
+    def test_transport_failures_are_network_errors(self, fake_urlopen, tmp_path, exc):
+        fake_urlopen["raise_exc"] = exc
+        with pytest.raises(NetworkError):
+            fetch_indicator(self.REQ, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "body", [b"<html>busy</html>", b"", b"\xc3\x28[1]"], ids=["html", "empty", "not_utf8"]
+    )
+    def test_body_that_is_not_json_is_network_error(self, fake_urlopen, tmp_path, body):
+        fake_urlopen["body"] = body
+        with pytest.raises(NetworkError):
+            fetch_indicator(self.REQ, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_loads_no_http_client():
+    src = str(Path(fisherinfo.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, fisherinfo.cli; "
+        "print([m for m in ('requests', 'urllib.request', 'http.client', 'ssl') "
+        "if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
+class TestCacheFiles:
+    REQ = IndicatorRequest("USA", "X.Y", (2000, 2002))
+
+    def write_cache(self, tmp_path, text):
+        path = wb.cache_path(self.REQ, tmp_path)
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize(
+        "bad_line, column",
+        [("2001,abc", "value"), ("20x1,2.0", "year"), ("2001", "value"), ("2001,2.0,9", "value")],
+        ids=["non_numeric_value", "non_numeric_year", "one_cell", "extra_cell"],
+    )
+    def test_malformed_row_names_file_line_and_column(self, fake_api, tmp_path, bad_line, column):
+        path = self.write_cache(tmp_path, f"year,value\n2000,1.0\n{bad_line}\n2002,3.0\n")
+        with pytest.raises(ParseError) as exc:
+            fetch_indicator(self.REQ, tmp_path, offline=True)
+        assert exc.value.line == 3
+        assert exc.value.column == column
+        assert str(path) in str(exc.value)
+        assert f"line 3, column {column!r}" in str(exc.value)
+        assert fake_api["calls"] == 0
+
+    @pytest.mark.parametrize(
+        "years",
+        [(2000, 2001), (2000, 2002, 2003), (2000, 2001, 2001, 2002), (2000, 2002), ()],
+        ids=["truncated", "extra_year", "duplicate_year", "inner_gap", "header_only"],
+    )
+    def test_cache_must_hold_exactly_the_requested_years(self, fake_api, tmp_path, years):
+        path = self.write_cache(tmp_path, "year,value\n" + "".join(f"{y},1.5\n" for y in years))
+        with pytest.raises(GapInSeries) as exc:
+            fetch_indicator(self.REQ, tmp_path)
+        assert str(path) in str(exc.value)
+        assert fake_api["calls"] == 0
+
+    def test_unsorted_complete_cache_is_served_ascending(self, tmp_path):
+        self.write_cache(tmp_path, "year,value\n2002,3.0\n2000,1.0\n\n2001,2.0\n")
+        series = fetch_indicator(self.REQ, tmp_path, offline=True)
+        assert series == [(2000, 1.0), (2001, 2.0), (2002, 3.0)]
+        assert all(type(y) is int for y, _ in series)
 
 
 class TestAssembleDemoMatrix:
