@@ -199,7 +199,7 @@ def _slope_index_range(series, slope_range: tuple[float, float] | None):
     if slope_range is None:
         return None
     lo, hi = slope_range
-    idx = [i for i, p in enumerate(series.points) if lo <= p.time_label <= hi]
+    idx = [i for i, t in enumerate(series.time.tolist()) if lo <= t <= hi]
     if len(idx) < 2:
         raise RangeTooShort(
             f"--slope-range {format_time_label(lo)}:{format_time_label(hi)} "
@@ -252,29 +252,24 @@ def _run_pipeline(args, matrix: TimeSeriesMatrix, command: str, input_digests: d
     if args.plot:
         emit_plot(series, args.plot)
 
-    first, last = series.points[0], series.points[-1]
+    times = [format_time_label(t) for t in series.time.tolist()]
     print(
-        f"{len(series)} index point(s), "
-        f"{format_time_label(first.time_label)}..{format_time_label(last.time_label)}, "
+        f"{len(series)} index point(s), {times[0]}..{times[-1]}, "
         f"window {wcfg.window_size}, increment {wcfg.increment}"
     )
     print("state size: " + ", ".join(f"{matrix.labels[i]}={d:g}" for i, d in enumerate(delta)))
     if len(series) <= 10:
-        for p in series.points:
-            print(f"  t={format_time_label(p.time_label)}: "
-                  f"FI={p.fi!r} ({p.m_states} state(s))")
+        for t, fi, m in zip(times, series.fi.tolist(), series.m_states.tolist()):
+            print(f"  t={t}: FI={fi!r} ({m} state(s))")
     if verdict is not None:
         a, b = verdict.slope_window
         print(
             f"verdict: {verdict.category} "
-            f"(slope {verdict.slope:.6g} per step over "
-            f"{format_time_label(series.points[a].time_label)}.."
-            f"{format_time_label(series.points[b].time_label)}, "
+            f"(slope {verdict.slope:.6g} per step over {times[a]}..{times[b]}, "
             f"mean FI {verdict.mean_fi:.6g})"
         )
     if peaks:
-        labels = ", ".join(format_time_label(series.points[i].time_label) for i in peaks)
-        print(f"local maxima at: {labels}")
+        print(f"local maxima at: {', '.join(times[i] for i in peaks)}")
     return 0
 
 

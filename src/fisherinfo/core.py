@@ -198,17 +198,25 @@ def validate_matrix(
 
 
 def _check_time_axis(times: tuple[float, ...]) -> None:
-    for t in times:
-        if not math.isfinite(t):
-            raise NonUniformTimeAxis(f"non-finite time stamp {t!r}")
-    if len(times) < 2:
+    stamps = np.asarray(times, dtype=float)
+    finite = np.isfinite(stamps)
+    if not finite.all():
+        j = int(finite.argmin())
+        raise NonUniformTimeAxis(f"non-finite time stamp {times[j]!r}", row=j)
+    if len(stamps) < 2:
         return
-    spacings = [b - a for a, b in zip(times, times[1:])]
-    if any(s <= 0 for s in spacings):
-        raise NonUniformTimeAxis("time stamps must be strictly increasing")
+    spacings = np.diff(stamps)
+    rising = spacings > 0
+    if not rising.all():
+        raise NonUniformTimeAxis(
+            "time stamps must be strictly increasing", row=int(rising.argmin()) + 1
+        )
     ref = spacings[0]
-    for idx, s in enumerate(spacings):
-        if abs(s - ref) > SPACING_RTOL * max(abs(ref), abs(s)):
-            raise NonUniformTimeAxis(
-                f"spacing changes at step {idx + 1}: {s!r} differs from {ref!r}"
-            )
+    changed = np.abs(spacings - ref) > SPACING_RTOL * np.maximum(abs(ref), np.abs(spacings))
+    if changed.any():
+        idx = int(changed.argmax())
+        raise NonUniformTimeAxis(
+            f"spacing changes at step {idx + 1}: "
+            f"{float(spacings[idx])!r} differs from {float(ref)!r}",
+            row=idx + 1,
+        )

@@ -16,9 +16,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
-from .binning import StateAssignment, bin_window
+import numpy as np
+
+from .binning import StateAssignment, bin_windows, state_counts
 from .core import SosConfig, StateSize, TimeSeriesMatrix, WindowConfig
 from .errors import ConstantVariableWarning, DegenerateRange, SeriesTooShort
 
@@ -75,25 +78,66 @@ class FiPoint:
             raise ValueError(f"state count must be >= 1, got {self.m_states}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiSeries:
-    """Index values for every full window, in time order."""
+    """Index values for every full window, in time order, held as columns.
 
-    points: tuple[FiPoint, ...]
+    Window k covers rows start[k] .. end[k] inclusive (end = start +
+    window_size - 1); its index value fi[k] and state count m_states[k] are
+    stamped with time[k], the time label of row end[k].  The four stored
+    arrays are read-only copies of what the constructor was given.
+
+    Raises ValueError when the columns differ in length, a value lies
+    outside (0, 8] or a state count is below 1.
+    """
+
+    time: np.ndarray
+    fi: np.ndarray
+    m_states: np.ndarray
+    start: np.ndarray
     config: WindowConfig
     state_size: StateSize
 
+    def __post_init__(self):
+        for name, dtype in (("time", float), ("fi", float), ("m_states", np.intp),
+                            ("start", np.intp)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if not len(self.time) == len(self.fi) == len(self.m_states) == len(self.start):
+            raise ValueError("series columns differ in length")
+        outside = ~((self.fi > 0.0) & (self.fi <= FI_MAX))
+        if outside.any():
+            raise ValueError(
+                f"index value {float(self.fi[outside.argmax()])} outside (0, {FI_MAX}]"
+            )
+        too_few = self.m_states < 1
+        if too_few.any():
+            raise ValueError(
+                f"state count must be >= 1, got {int(self.m_states[too_few.argmax()])}"
+            )
+
+    @property
+    def end(self) -> np.ndarray:
+        return self.start + (self.config.window_size - 1)
+
+    @cached_property
+    def points(self) -> tuple[FiPoint, ...]:
+        """The series as FiPoint records, built on first use."""
+        return tuple(map(FiPoint, self.time.tolist(), self.fi.tolist(),
+                         self.m_states.tolist(), self.start.tolist(), self.end.tolist()))
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.fi)
 
     def __iter__(self) -> Iterator[FiPoint]:
         return iter(self.points)
 
     def fi_values(self) -> tuple[float, ...]:
-        return tuple(p.fi for p in self.points)
+        return tuple(self.fi.tolist())
 
     def time_labels(self) -> tuple[float, ...]:
-        return tuple(p.time_label for p in self.points)
+        return tuple(self.time.tolist())
 
 
 def sample_sd(xs: Sequence[float]) -> float:
@@ -151,8 +195,11 @@ def estimate_state_size(matrix: TimeSeriesMatrix, cfg: SosConfig | None = None) 
 
 def state_probabilities(assignment: StateAssignment) -> StateDistribution:
     """Probability of each state: its point count over the window length."""
-    w = assignment.window_length
-    probs = tuple(count / w for count in assignment.counts)
+    return _distribution(assignment.counts, assignment.window_length)
+
+
+def _distribution(counts: Sequence[int], window_length: int) -> StateDistribution:
+    probs = tuple(count / window_length for count in counts)
     return StateDistribution(
         probabilities=probs,
         amplitudes=tuple(math.sqrt(p) for p in probs),
@@ -189,31 +236,33 @@ def sliding_fi(
     and scored, and the value is stamped with the window's last time
     label.  Trailing partial windows are dropped, never padded.
 
-    Window computations are independent and side-effect-free; results are
-    emitted in time order.
+    All windows are binned together by one sweep (binning.bin_windows).
+    The index depends on a window's state counts only, so each distinct
+    count tuple is scored once.
 
     Raises SeriesTooShort when the series holds fewer steps than one window.
     """
     if cfg is None:
         cfg = WindowConfig()
     t_count = matrix.n_steps
-    if t_count < cfg.window_size:
-        raise SeriesTooShort(
-            f"series has {t_count} steps but the window needs {cfg.window_size}"
-        )
+    w = cfg.window_size
+    if t_count < w:
+        raise SeriesTooShort(f"series has {t_count} steps but the window needs {w}")
 
-    points = []
-    for start in range(0, t_count - cfg.window_size + 1, cfg.increment):
-        end = start + cfg.window_size - 1
-        assignment = bin_window(matrix.window(start, cfg.window_size), delta)
-        dist = state_probabilities(assignment)
-        points.append(
-            FiPoint(
-                time_label=matrix.times[end],
-                fi=fisher_index(dist),
-                m_states=dist.n_states,
-                window_start_index=start,
-                window_end_index=end,
-            )
-        )
-    return FiSeries(points=tuple(points), config=cfg, state_size=delta)
+    counts = state_counts(bin_windows(matrix.values, delta, w, cfg.increment))
+    if not (counts.sum(axis=1) == w).all():
+        raise ValueError("states do not form a partition of the window")
+    # one row of bytes per window: equal count tuples have equal bytes
+    packed = np.ascontiguousarray(counts, dtype=np.min_scalar_type(w))
+    keys = packed.view(np.dtype((np.void, packed.strides[0]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    scores = [fisher_index(_distribution(row[row > 0].tolist(), w)) for row in counts[first]]
+    start = np.arange(len(counts)) * cfg.increment
+    return FiSeries(
+        time=np.asarray(matrix.times)[start + (w - 1)],
+        fi=np.asarray(scores)[inverse.reshape(-1)],
+        m_states=np.count_nonzero(counts, axis=1),
+        start=start,
+        config=cfg,
+        state_size=delta,
+    )

@@ -21,7 +21,14 @@ class MissingValue(FisherInfoError):
 
 
 class NonUniformTimeAxis(FisherInfoError):
-    """Time stamps are not strictly increasing with constant spacing."""
+    """Time stamps are not strictly increasing with constant spacing.
+
+    row is the 0-based index of the first offending time stamp, when known.
+    """
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 # --- state binning ---

@@ -16,7 +16,7 @@ from typing import IO, Sequence
 
 from .core import TimeSeriesMatrix, validate_matrix
 from .engine import FiSeries
-from .errors import EmptyInput, EmptySeries, ParseError
+from .errors import EmptyInput, EmptySeries, MissingValue, NonUniformTimeAxis, ParseError
 from .regimes import RegimeVerdict
 
 PLOT_Y_RANGE = (0.0, 8.0)
@@ -39,8 +39,10 @@ def read_csv(source: str | Path | IO[str]) -> TimeSeriesMatrix:
     """Parse a time-series CSV and validate it into a TimeSeriesMatrix.
 
     Raises ParseError (with 1-based line number and column name) for cells
-    that do not parse as numbers; validation errors (EmptyInput,
-    MissingValue, NonUniformTimeAxis) propagate from validate_matrix.
+    that do not parse as numbers.  Validation errors (EmptyInput,
+    MissingValue, NonUniformTimeAxis) propagate from validate_matrix; a
+    MissingValue or NonUniformTimeAxis is re-raised with a message naming
+    the file and the CSV line, keeping its row and column attributes.
     """
     if hasattr(source, "read"):
         return _read_csv_stream(source, name=getattr(source, "name", "<stream>"))
@@ -61,30 +63,45 @@ def _read_csv_stream(fh: IO[str], name: str) -> TimeSeriesMatrix:
 
     times: list[float] = []
     rows: list[list[float]] = []
+    line_nos: list[int] = []  # CSV line of each data row
     for line_no, row in enumerate(reader, start=2):
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(
-                f"{name}: line {line_no} has {len(row)} cells, expected {len(header)}",
-                line=line_no,
-            )
-        times.append(_parse_cell(row[0], name, line_no, header[0]))
-        rows.append(
-            [
-                _parse_cell(cell, name, line_no, header[i + 1])
-                for i, cell in enumerate(row[1:])
-            ]
-        )
+        try:
+            # float() itself ignores the whitespace around a number
+            cells = [float(cell) for cell in row]
+        except ValueError:
+            cells = []
+        if len(cells) != len(header):
+            # the slow path: skip a blank row or report the first bad cell
+            if not row or all(cell.strip() == "" for cell in row):
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{name}: line {line_no} has {len(row)} cells, expected {len(header)}",
+                    line=line_no,
+                )
+            cells = [_parse_cell(cell, name, line_no, header[i]) for i, cell in enumerate(row)]
+        times.append(cells[0])
+        rows.append(cells[1:])
+        line_nos.append(line_no)
 
     if not rows:
         raise EmptyInput(f"{name}: header only, no data rows")
-    return validate_matrix(labels, times, rows)
+    try:
+        return validate_matrix(labels, times, rows)
+    except MissingValue as exc:
+        j, i = exc.row, exc.column
+        raise MissingValue(
+            f"{name}: line {line_nos[j]}, column {labels[i]!r}: non-finite value {rows[j][i]!r}",
+            row=j,
+            column=i,
+        ) from None
+    except NonUniformTimeAxis as exc:
+        raise NonUniformTimeAxis(f"{name}: line {line_nos[exc.row]}: {exc}", row=exc.row) from None
 
 
 def _parse_cell(cell: str, name: str, line_no: int, column: str) -> float:
     try:
-        return float(cell)  # float() itself ignores surrounding whitespace
+        return float(cell)
     except ValueError:
         raise ParseError(
             f"{name}: line {line_no}, column {column!r}: cannot parse {cell.strip()!r} as a number",
@@ -136,9 +153,10 @@ def write_results(doc: ResultDocument, fmt: str, destination: str | Path | IO[st
 
 
 def _write_csv(doc: ResultDocument, fh: IO[str]) -> None:
+    series = doc.series
     fh.write("time,fi,m_states\n")
-    for p in doc.series.points:
-        fh.write(f"{format_time_label(p.time_label)},{format_number(p.fi)},{p.m_states}\n")
+    for t, fi, m in zip(series.time.tolist(), series.fi.tolist(), series.m_states.tolist()):
+        fh.write(f"{format_time_label(t)},{format_number(fi)},{m}\n")
 
 
 def _verdict_dict(verdict: RegimeVerdict) -> dict:
@@ -150,29 +168,47 @@ def _verdict_dict(verdict: RegimeVerdict) -> dict:
     }
 
 
-def _json_time(t: float) -> float | int:
-    t = float(t)
-    return int(t) if t.is_integer() else t
+# One fi_points entry as json.dump(indent=2) lays it out one level deep.  A
+# time label renders like format_time_label (an int when integral, else the
+# float's repr) and every other field is an int or a float's repr, which is
+# how the json module writes numbers.
+_JSON_POINT = (
+    "  {{\n"
+    '    "time": {},\n'
+    '    "fi": {!r},\n'
+    '    "m_states": {},\n'
+    '    "window_start_index": {},\n'
+    '    "window_end_index": {}\n'
+    "  }}"
+)
 
 
 def _write_json(doc: ResultDocument, fh: IO[str]) -> None:
-    payload = {
-        "metadata": doc.metadata,
-        "fi_points": [
-            {
-                "time": _json_time(p.time_label),
-                "fi": p.fi,
-                "m_states": p.m_states,
-                "window_start_index": p.window_start_index,
-                "window_end_index": p.window_end_index,
-            }
-            for p in doc.series.points
-        ],
-        "verdict": _verdict_dict(doc.verdict) if doc.verdict is not None else None,
-        "peaks": list(doc.peaks),
+    """Write the document exactly as json.dump(payload, indent=2) would.
+
+    Each fi_points entry comes from one string template; the other members
+    are rendered by json.dumps and shifted one level in.
+    """
+    series = doc.series
+    points = "[]"
+    if len(series):
+        columns = (series.time.tolist(), series.fi.tolist(), series.m_states.tolist(),
+                   series.start.tolist(), series.end.tolist())
+        points = "[\n" + ",\n".join(
+            _JSON_POINT.format(format_time_label(t), fi, m, a, b)
+            for t, fi, m, a, b in zip(*columns)
+        ) + "\n]"
+    members = {
+        "metadata": json.dumps(doc.metadata, indent=2),
+        "fi_points": points,
+        "verdict": json.dumps(
+            _verdict_dict(doc.verdict) if doc.verdict is not None else None, indent=2
+        ),
+        "peaks": json.dumps(list(doc.peaks), indent=2),
     }
-    json.dump(payload, fh, indent=2)
-    fh.write("\n")
+    # json never writes a raw newline inside a string, so shifting every line is safe
+    body = ",\n".join(f'  "{key}": ' + text.replace("\n", "\n  ") for key, text in members.items())
+    fh.write("{\n" + body + "\n}\n")
 
 
 def _with_output(destination: str | Path | IO[str], emit) -> None:
@@ -213,7 +249,7 @@ def _render_svg(series: FiSeries, y_range: tuple[float, float]) -> str:
     y_lo, y_hi = float(y_range[0]), float(y_range[1])
     if not y_hi > y_lo:
         raise ValueError(f"invalid y_range {y_range}")
-    steps = [p.window_end_index for p in series.points]
+    steps = series.end.astype(float)
     x_lo, x_hi = float(steps[0]), float(steps[-1])
 
     def sx(step: float) -> float:
@@ -251,20 +287,19 @@ def _render_svg(series: FiSeries, y_range: tuple[float, float]) -> str:
         )
 
     # x ticks: at most eight, on point positions
-    n = len(series.points)
+    n = len(series)
     stride = max(1, (n - 1) // 7 if n > 1 else 1)
     tick_idx = list(range(0, n, stride))
     if tick_idx[-1] != n - 1:
         tick_idx.append(n - 1)
     for i in tick_idx:
-        p = series.points[i]
-        xx = sx(float(p.window_end_index))
+        xx = sx(float(steps[i]))
         out.append(
             f'<line x1="{xx:.2f}" y1="{y0}" x2="{xx:.2f}" y2="{y0 + 4}" stroke="black"/>'
         )
         out.append(
             f'<text x="{xx:.2f}" y="{y0 + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{format_time_label(p.time_label)}</text>'
+            f'font-family="sans-serif" font-size="12">{format_time_label(series.time[i])}</text>'
         )
 
     # axis titles
@@ -280,15 +315,14 @@ def _render_svg(series: FiSeries, y_range: tuple[float, float]) -> str:
 
     # the data: one polyline, or a single marker for a lone point
     if n == 1:
-        p = series.points[0]
         out.append(
-            f'<circle cx="{sx(float(p.window_end_index)):.2f}" cy="{sy(p.fi):.2f}" '
+            f'<circle cx="{sx(x_lo):.2f}" cy="{sy(float(series.fi[0])):.2f}" '
             'r="3.5" fill="#1f6fb4"/>'
         )
     else:
-        coords = " ".join(
-            f"{sx(float(p.window_end_index)):.2f},{sy(p.fi):.2f}" for p in series.points
-        )
+        # the same float operations as the scalar form, one array at a time
+        xs, ys = sx(steps).tolist(), sy(series.fi).tolist()
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="#1f6fb4" stroke-width="1.5"/>'
         )

@@ -48,10 +48,7 @@ class RegimeVerdict:
 def _values_and_steps(series) -> tuple[list[float], list[float]]:
     """Index values and their time-step positions from a series or plain sequence."""
     if isinstance(series, FiSeries):
-        return (
-            [p.fi for p in series.points],
-            [float(p.window_end_index) for p in series.points],
-        )
+        return series.fi.tolist(), series.end.astype(float).tolist()
     values = [float(v) for v in series]
     return values, [float(i) for i in range(len(values))]
 

@@ -33,6 +33,25 @@ windows = st.integers(min_value=1, max_value=3).flatmap(
 )
 
 
+
+@st.composite
+def wide_windows(draw):
+    """Up to 32 points of up to 8 variables; any state size may be 0 or inf.
+
+    Half the windows are small integer grids with integer state sizes, so
+    that |a - b| = delta ties are common.
+    """
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        cells = st.integers(-3, 3).map(float)
+        widths = st.sampled_from([0.0, 1.0, 2.0, math.inf])
+    else:
+        cells = finite_floats
+        widths = st.one_of(st.floats(0, 1e6, allow_nan=False), st.sampled_from([0.0, math.inf]))
+    points = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=1, max_size=32))
+    return points, draw(st.lists(widths, min_size=n, max_size=n))
+
+
 class TestSameState:
     def test_worked_example_steps_1_and_3_share_a_state(self):
         assert same_state((0.6, 1.5), (0.3, 1.0), (0.5, 1.0)) is True
@@ -136,6 +155,12 @@ class TestAssignmentInvariants:
     @given(windows)
     @settings(max_examples=200)
     def test_agrees_with_brute_force(self, window):
+        points, deltas = window
+        assert bin_window(points, deltas).states == brute_bin(points, deltas)
+
+    @given(wide_windows())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_brute_force_up_to_32_points_and_8_variables(self, window):
         points, deltas = window
         assert bin_window(points, deltas).states == brute_bin(points, deltas)
 

@@ -67,6 +67,21 @@ class TestCompute:
         assert code == 1
         assert "SeriesTooShort" in err
 
+    def test_non_finite_cell_exits_1_naming_file_and_line(self, capsys, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("t,a,b\n1,1,2\n2,3,nan\n3,4,5\n")
+        code, _, err = run(["compute", str(path)], capsys)
+        assert code == 1
+        assert err == f"error: MissingValue: {path}: line 3, column 'b': non-finite value nan\n"
+
+    def test_time_gap_exits_1_naming_file_and_line(self, capsys, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("t,a\n1,1\n2,2\n3,3\n5,4\n6,5\n")
+        code, _, err = run(["compute", str(path)], capsys)
+        assert code == 1
+        assert err == (f"error: NonUniformTimeAxis: {path}: line 5: "
+                       "spacing changes at step 3: 2.0 differs from 1.0\n")
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(["compute", "/no/such/file.csv"], capsys)
         assert code == 1

@@ -44,6 +44,24 @@ class TestValidateMatrix:
         with pytest.raises(NonUniformTimeAxis):
             validate_matrix(["y"], [1, 1, 2], [[0], [1], [2]])
 
+    def test_first_of_several_bad_spacings_is_named(self):
+        # spacings 1, 1, 3, 1, 2, 0.5: steps 3, 5 and 6 change the spacing
+        with pytest.raises(NonUniformTimeAxis) as exc:
+            validate_matrix(["y"], [0, 1, 2, 5, 6, 8, 8.5], [[0]] * 7)
+        assert str(exc.value) == "spacing changes at step 3: 3.0 differs from 1.0"
+        assert exc.value.row == 3
+
+    def test_first_non_increasing_stamp_is_located(self):
+        with pytest.raises(NonUniformTimeAxis, match="strictly increasing") as exc:
+            validate_matrix(["y"], [1, 2, 2, 1, 0], [[0]] * 5)
+        assert exc.value.row == 2
+
+    def test_non_finite_time_stamp_is_named(self):
+        with pytest.raises(NonUniformTimeAxis) as exc:
+            validate_matrix(["y"], [1, 2, float("inf"), float("nan")], [[0]] * 4)
+        assert str(exc.value) == "non-finite time stamp inf"
+        assert exc.value.row == 2
+
     def test_tiny_spacing_jitter_tolerated(self):
         # far below the 1e-9 relative tolerance
         times = [0.0, 0.1, 0.2 + 1e-14, 0.3]

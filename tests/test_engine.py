@@ -4,12 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fisherinfo import (
     ConstantVariableWarning,
     DegenerateRange,
+    FiPoint,
+    FiSeries,
     SeriesTooShort,
     SmallWindowWarning,
     SosConfig,
@@ -189,6 +191,41 @@ class TestFiPoint:
         assert point.fi == 8.0
 
 
+class TestFiSeries:
+    def make(self, **columns):
+        fields = dict(time=[1.0, 2.0], fi=[8.0, 2.5], m_states=[1, 3], start=[0, 3])
+        fields.update(columns)
+        return FiSeries(**fields, config=WindowConfig(8, 3), state_size=StateSize((1.0,)))
+
+    def test_columns_and_derived_fields(self):
+        series = self.make()
+        assert series.end.tolist() == [7, 10]
+        assert series.fi_values() == (8.0, 2.5)
+        assert series.time_labels() == (1.0, 2.0)
+        assert series.points[1] == FiPoint(time_label=2.0, fi=2.5, m_states=3,
+                                           window_start_index=3, window_end_index=10)
+        assert list(series) == list(series.points)
+
+    def test_columns_are_read_only_copies(self):
+        fi = np.array([8.0, 2.5])
+        series = self.make(fi=fi)
+        fi[0] = 1.0
+        assert series.fi[0] == 8.0
+        with pytest.raises(ValueError):
+            series.fi[0] = 1.0
+
+    @pytest.mark.parametrize("columns, message", [
+        ({"fi": [8.0, 8.5]}, r"index value 8\.5 outside \(0, 8\.0\]"),
+        ({"fi": [0.0, 2.5]}, r"index value 0\.0 outside"),
+        ({"fi": [8.0, math.nan]}, r"index value nan outside"),
+        ({"m_states": [1, 0]}, r"state count must be >= 1, got 0"),
+        ({"start": [0]}, r"columns differ in length"),
+    ])
+    def test_invalid_columns_rejected(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            self.make(**columns)
+
+
 class TestSlidingFi:
     def test_single_window_series(self, worked_matrix, worked_delta):
         series = sliding_fi(worked_matrix, worked_delta, WindowConfig(8, 1))
@@ -272,3 +309,47 @@ class TestOracleEquivalence:
             assert assignment.states == brute_bin(points.tolist(), deltas.tolist())
             fi = fisher_index(state_probabilities(assignment))
             assert fi == pytest.approx(brute_fi(points.tolist(), deltas.tolist()), abs=1e-12)
+
+
+@st.composite
+def sliding_cases(draw):
+    """A series, state sizes and a window scheme: w in 2..32, n in 1..8.
+
+    Half the cases are integer grids with integer state sizes, so that
+    |a - b| = delta ties are common; any column may get delta 0 or inf.
+    """
+    w = draw(st.integers(2, 32))
+    n = draw(st.integers(1, 8))
+    inc = draw(st.integers(1, w))
+    t_count = draw(st.integers(w, w + 3 * inc + 8))
+    if draw(st.booleans()):
+        cells = st.integers(-3, 3).map(float)
+        widths = st.sampled_from([0.0, 1.0, 2.0, math.inf])
+    else:
+        cells = st.floats(-100, 100, allow_nan=False, width=32)
+        widths = st.one_of(st.floats(0, 50, allow_nan=False), st.sampled_from([0.0, math.inf]))
+    values = draw(st.lists(st.lists(cells, min_size=n, max_size=n),
+                           min_size=t_count, max_size=t_count))
+    deltas = draw(st.lists(widths, min_size=n, max_size=n))
+    return values, deltas, w, inc
+
+
+class TestSlidingOracle:
+    @given(sliding_cases())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_window_matches_brute_force(self, case):
+        values, deltas, w, inc = case
+        m = make_matrix(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SmallWindowWarning)
+            cfg = WindowConfig(w, inc)
+        series = sliding_fi(m, StateSize(deltas), cfg)
+        starts = list(range(0, len(values) - w + 1, inc))
+        assert series.start.tolist() == starts
+        assert series.end.tolist() == [a + w - 1 for a in starts]
+        assert series.time.tolist() == [m.times[a + w - 1] for a in starts]
+        for k, a in enumerate(starts):
+            states = brute_bin(values[a:a + w], deltas)
+            assert series.m_states[k] == len(states)
+            expected = brute_fi_from_counts([len(state) for state in states], w)
+            assert series.fi[k] == pytest.approx(expected, abs=1e-12)

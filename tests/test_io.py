@@ -10,6 +10,7 @@ from fisherinfo import (
     EmptySeries,
     FiSeries,
     MissingValue,
+    NonUniformTimeAxis,
     ParseError,
     ResultDocument,
     StateSize,
@@ -33,6 +34,11 @@ def demo_series():
         ["a", "b"], range(1960, 2014), rng.normal(size=(54, 2)).cumsum(axis=0)
     )
     return sliding_fi(m, StateSize((1.0, 1.0)), WindowConfig(8, 1))
+
+
+def empty_series():
+    return FiSeries(time=[], fi=[], m_states=[], start=[], config=WindowConfig(8, 1),
+                    state_size=StateSize((1.0,)))
 
 
 def make_doc(series, verdict=None):
@@ -97,6 +103,34 @@ class TestReadCsv:
         m = read_csv(stdio.StringIO("t,Y1\n1,0.5\n\n2,0.25\n\n"))
         assert m.n_steps == 2
 
+    def test_full_width_row_of_blank_cells_skipped(self):
+        m = read_csv(stdio.StringIO("t,Y1,Y2\n1,0.5,1\n , ,\t\n2,0.25,2\n"))
+        assert m.times == (1.0, 2.0)
+        assert m.values.tolist() == [[0.5, 1.0], [0.25, 2.0]]
+
+    def test_first_bad_cell_of_a_row_is_reported(self):
+        with pytest.raises(ParseError) as exc:
+            read_csv(stdio.StringIO("t,Y1,Y2\n1,0.5,1\n2,x,y\n"))
+        assert (exc.value.line, exc.value.column) == (3, "Y1")
+
+    def test_non_finite_cell_names_file_and_line(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("t,a,b\n1,1,2\n\n2,3,nan\n3,4,5\n")
+        with pytest.raises(MissingValue) as exc:
+            read_csv(path)
+        assert str(exc.value) == f"{path}: line 4, column 'b': non-finite value nan"
+        assert (exc.value.row, exc.value.column) == (1, 1)
+
+    def test_time_gap_names_file_and_line(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("t,a\n1,1\n2,2\n\n3,3\n5,4\n6,5\n")
+        with pytest.raises(NonUniformTimeAxis) as exc:
+            read_csv(path)
+        assert str(exc.value) == (
+            f"{path}: line 6: spacing changes at step 3: 2.0 differs from 1.0"
+        )
+        assert exc.value.row == 3
+
     def test_matrix_roundtrip_identity(self, worked_csv_path, tmp_path):
         m = read_csv(worked_csv_path)
         out = tmp_path / "again.csv"
@@ -109,12 +143,8 @@ class TestReadCsv:
 
 class TestWriteResults:
     def test_csv_golden_line(self, tmp_path):
-        from fisherinfo.engine import FiPoint
-
-        point = FiPoint(time_label=1967.0, fi=2.136, m_states=4,
-                        window_start_index=0, window_end_index=7)
-        series = FiSeries(points=(point,), config=WindowConfig(8, 1),
-                          state_size=StateSize((0.5, 1.0)))
+        series = FiSeries(time=[1967.0], fi=[2.136], m_states=[4], start=[0],
+                          config=WindowConfig(8, 1), state_size=StateSize((0.5, 1.0)))
         out = tmp_path / "out.csv"
         write_results(make_doc(series), "csv", out)
         lines = out.read_text().splitlines()
@@ -148,8 +178,37 @@ class TestWriteResults:
         assert payload["verdict"]["category"] in {"stable", "declining", "increasing"}
         assert payload["peaks"] == [1, 5]
 
+    @pytest.mark.parametrize("times", [[1967.0, 1968.0], [0.5, 1.5], [-1e17, 1e17 - 1.0]])
+    @pytest.mark.parametrize("verdict", [True, False])
+    @pytest.mark.parametrize("peaks", [(), (0,), (1, 5)])
+    def test_json_matches_the_standard_encoder(self, times, verdict, peaks):
+        series = FiSeries(time=times, fi=[8.0, 0.1 + 0.2], m_states=[1, 7], start=[0, 3],
+                          config=WindowConfig(8, 3), state_size=StateSize((0.5,)))
+        metadata = {"tool": "fisherinfo", "state_size": [0.5], "nested": {"k": None},
+                    "empty": {}, "label": "caf\u00e9 \"q\"\n"}
+        doc = ResultDocument(metadata=metadata, series=series, peaks=peaks,
+                             verdict=classify_regime(series) if verdict else None)
+        out = stdio.StringIO()
+        write_results(doc, "json", out)
+        payload = {
+            "metadata": metadata,
+            "fi_points": [
+                {"time": int(t) if t.is_integer() else t, "fi": p.fi, "m_states": p.m_states,
+                 "window_start_index": p.window_start_index,
+                 "window_end_index": p.window_end_index}
+                for t, p in zip(times, series.points)
+            ],
+            "verdict": None,
+            "peaks": list(peaks),
+        }
+        if verdict:
+            v = doc.verdict
+            payload["verdict"] = {"category": str(v.category), "slope": v.slope,
+                                  "mean_fi": v.mean_fi, "slope_window": list(v.slope_window)}
+        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
     def test_empty_series_json_keeps_metadata(self, tmp_path):
-        empty = FiSeries(points=(), config=WindowConfig(8, 1), state_size=StateSize((1.0,)))
+        empty = empty_series()
         out = tmp_path / "empty.json"
         write_results(make_doc(empty), "json", out)
         payload = json.loads(out.read_text())
@@ -197,7 +256,7 @@ class TestEmitPlot:
         assert len(root.findall(".//svg:circle", ns)) == 1
 
     def test_empty_series_rejected(self, tmp_path):
-        empty = FiSeries(points=(), config=WindowConfig(8, 1), state_size=StateSize((1.0,)))
+        empty = empty_series()
         with pytest.raises(EmptySeries):
             emit_plot(empty, tmp_path / "never.svg")
 
