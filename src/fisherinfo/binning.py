@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import StateSize
-from .errors import DimensionMismatch, EmptyWindow
+from .errors import DimensionMismatch, EmptyInput
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,12 @@ def bin_window(points: Sequence[Sequence[float]], delta) -> StateAssignment:
 
     Returns a StateAssignment whose states appear in discovery order.
 
-    Raises EmptyWindow for zero points and DimensionMismatch when the points
+    Raises EmptyInput for zero points and DimensionMismatch when the points
     and delta disagree on the number of variables.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
-        raise EmptyWindow("cannot bin an empty window")
+        raise EmptyInput("cannot bin an empty window")
     labels = bin_windows(pts, delta, len(pts))[0]
     states = tuple(
         tuple(np.flatnonzero(labels == k).tolist()) for k in range(int(labels.max()) + 1)

@@ -3,7 +3,8 @@
 Subcommands: compute (CSV in, index series out), estimate-sos (print the
 estimated state sizes), demo (the GDP/population demonstration, offline by
 default), fetch (one World Bank indicator into the cache).  Exit codes:
-0 success, 1 runtime error, 2 usage error.
+0 success; 1 bad data, file, cache or network; 2 an argument value refused
+before any file is read.  A traceback is a bug.
 """
 from __future__ import annotations
 
@@ -24,12 +25,7 @@ from .core import (
     WindowConfig,
 )
 from .engine import estimate_state_size, sliding_fi
-from .errors import (
-    DimensionMismatch,
-    FisherInfoError,
-    RangeTooShort,
-    SosPrecedenceWarning,
-)
+from .errors import DegenerateRange, DimensionMismatch, FisherInfoError, SosPrecedenceWarning
 from .io import ResultDocument, emit_plot, format_time_label, read_csv, write_results
 from .regimes import DEFAULT_SLOPE_TOL, classify_regime, local_maxima
 from .worldbank import (
@@ -44,16 +40,6 @@ from .worldbank import (
     demo_matrix,
     fetch_indicator,
 )
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
 
 
 def _positive_float(text: str) -> float:
@@ -78,12 +64,9 @@ def _sos_list(text: str) -> StateSize:
 def _index_range(text: str) -> tuple[int, int]:
     try:
         a_text, b_text = text.split(":")
-        a, b = int(a_text), int(b_text)
+        return int(a_text), int(b_text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an index pair 'first:last'") from None
-    if a < 0 or a > b:
-        raise argparse.ArgumentTypeError(f"need 0 <= first <= last, got {text!r}")
-    return a, b
 
 
 def _label_range(text: str) -> tuple[float, float]:
@@ -115,11 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
         "estimate-sos", help="print the estimated state size of each variable"
     )
     estimate.add_argument("input", help="input CSV: header row, time label first column")
-    estimate.add_argument("--k", type=_positive_float, default=None,
+    estimate.add_argument("--k", type=float, default=None,
                           help=f"Chebyshev multiplier (default {DEFAULT_K:g})")
-    estimate.add_argument("--stable-range", type=_index_range, default=None,
-                          metavar="FIRST:LAST",
-                          help="inclusive row index range of the stable period (default: all)")
+    estimate.add_argument("--stable-range", type=_index_range, default=None, metavar="FIRST:LAST",
+                          help="0-based data-row indices of the stable period, inclusive "
+                               "(default: all rows)")
 
     demo = sub.add_parser(
         "demo",
@@ -151,23 +134,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_pipeline_options(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--window-size", type=_positive_int, default=DEFAULT_WINDOW_SIZE,
+    cmd.add_argument("--window-size", type=int, default=DEFAULT_WINDOW_SIZE,
                      help=f"window size in time steps (default {DEFAULT_WINDOW_SIZE})")
-    cmd.add_argument("--increment", type=_positive_int, default=DEFAULT_INCREMENT,
+    cmd.add_argument("--increment", type=int, default=DEFAULT_INCREMENT,
                      help=f"window increment in time steps (default {DEFAULT_INCREMENT})")
     cmd.add_argument("--sos", type=_sos_list, default=None, metavar="D1,D2,...",
                      help="explicit per-variable state sizes (overrides estimation)")
-    cmd.add_argument("--k", type=_positive_float, default=None,
+    cmd.add_argument("--k", type=float, default=None,
                      help=f"Chebyshev multiplier for estimation (default {DEFAULT_K:g})")
     cmd.add_argument("--stable-range", type=_index_range, default=None, metavar="FIRST:LAST",
-                     help="inclusive row index range used to estimate state sizes")
+                     help="0-based data-row indices used to estimate state sizes, "
+                          "inclusive (default: all rows)")
     cmd.add_argument("--slope-tol", type=_positive_float, default=DEFAULT_SLOPE_TOL,
                      help=f"slope tolerance for the regime verdict (default {DEFAULT_SLOPE_TOL})")
     cmd.add_argument("--slope-range", type=_label_range, default=None, metavar="FIRST:LAST",
-                     help="time-label range analyzed for the verdict (default: all points)")
+                     help="time labels as written in the CSV's first column, inclusive, "
+                          "analyzed for the verdict (default: all points)")
     cmd.add_argument("--out-csv", default=None, help="write the index series as CSV here")
     cmd.add_argument("--out-json", default=None, help="write the full result document here")
     cmd.add_argument("--plot", default=None, help="write an SVG line chart here")
+
+
+def _configure(args) -> None:
+    """Build the config objects a command uses; their checks run before any input is read."""
+    if args.command == "fetch":
+        args.request = IndicatorRequest(args.country, args.indicator, (args.start, args.end))
+        return
+    args.sos_config = SosConfig(DEFAULT_K if args.k is None else args.k, args.stable_range)
+    if args.command != "estimate-sos":
+        args.window = WindowConfig(window_size=args.window_size, increment=args.increment)
 
 
 def _resolve_state_size(args, matrix: TimeSeriesMatrix) -> tuple[StateSize, dict]:
@@ -185,13 +180,11 @@ def _resolve_state_size(args, matrix: TimeSeriesMatrix) -> tuple[StateSize, dict
                 f"{matrix.n_vars} variable(s)"
             )
         return args.sos, {"sos_source": "explicit", "k": None, "stable_range": None}
-    k = args.k if args.k is not None else DEFAULT_K
-    cfg = SosConfig(k=k, stable_range=args.stable_range)
-    delta = estimate_state_size(matrix, cfg)
-    return delta, {
+    cfg = args.sos_config
+    return estimate_state_size(matrix, cfg), {
         "sos_source": "estimated",
-        "k": k,
-        "stable_range": list(args.stable_range) if args.stable_range else None,
+        "k": cfg.k,
+        "stable_range": list(cfg.stable_range) if cfg.stable_range else None,
     }
 
 
@@ -201,7 +194,7 @@ def _slope_index_range(series, slope_range: tuple[float, float] | None):
     lo, hi = slope_range
     idx = [i for i, t in enumerate(series.time.tolist()) if lo <= t <= hi]
     if len(idx) < 2:
-        raise RangeTooShort(
+        raise DegenerateRange(
             f"--slope-range {format_time_label(lo)}:{format_time_label(hi)} "
             f"selects {len(idx)} index point(s); need at least 2"
         )
@@ -218,8 +211,7 @@ def _sha256(path: Path) -> str:
 
 def _run_pipeline(args, matrix: TimeSeriesMatrix, command: str, input_digests: dict) -> int:
     delta, sos_meta = _resolve_state_size(args, matrix)
-    wcfg = WindowConfig(window_size=args.window_size, increment=args.increment)
-    series = sliding_fi(matrix, delta, wcfg)
+    series = sliding_fi(matrix, delta, args.window)
 
     # a slope needs two points; a single-window run still reports its value
     idx_range = _slope_index_range(series, args.slope_range)
@@ -236,8 +228,8 @@ def _run_pipeline(args, matrix: TimeSeriesMatrix, command: str, input_digests: d
         "inputs_sha256": input_digests,
         "variables": list(matrix.labels),
         "n_steps": matrix.n_steps,
-        "window_size": wcfg.window_size,
-        "increment": wcfg.increment,
+        "window_size": args.window.window_size,
+        "increment": args.window.increment,
         "state_size": list(delta.deltas),
         "slope_tol": args.slope_tol,
         "slope_range_labels": list(args.slope_range) if args.slope_range else None,
@@ -255,7 +247,7 @@ def _run_pipeline(args, matrix: TimeSeriesMatrix, command: str, input_digests: d
     times = [format_time_label(t) for t in series.time.tolist()]
     print(
         f"{len(series)} index point(s), {times[0]}..{times[-1]}, "
-        f"window {wcfg.window_size}, increment {wcfg.increment}"
+        f"window {args.window.window_size}, increment {args.window.increment}"
     )
     print("state size: " + ", ".join(f"{matrix.labels[i]}={d:g}" for i, d in enumerate(delta)))
     if len(series) <= 10:
@@ -281,8 +273,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_estimate_sos(args) -> int:
     matrix = read_csv(args.input)
-    k = args.k if args.k is not None else DEFAULT_K
-    delta = estimate_state_size(matrix, SosConfig(k=k, stable_range=args.stable_range))
+    delta = estimate_state_size(matrix, args.sos_config)
     for label, d in zip(matrix.labels, delta):
         print(f"{label}: {d!r}")
     return 0
@@ -300,7 +291,7 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_fetch(args) -> int:
-    req = IndicatorRequest(args.country, args.indicator, (args.start, args.end))
+    req = args.request
     directory = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     series = fetch_indicator(req, directory, offline=args.offline)
     print(f"{req.country_code}/{req.indicator_id}: {len(series)} year(s) "
@@ -323,10 +314,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        _configure(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        parser.error(str(exc))
+    try:
+        return _COMMANDS[args.command](args)
     except (FisherInfoError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

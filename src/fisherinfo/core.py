@@ -61,14 +61,6 @@ class TimeSeriesMatrix:
     def n_vars(self) -> int:
         return len(self.labels)
 
-    def column(self, i: int) -> np.ndarray:
-        """Values of variable i over the whole series."""
-        return self.values[:, i]
-
-    def window(self, start: int, length: int) -> np.ndarray:
-        """Rows start .. start+length-1 as a (length, n) array."""
-        return self.values[start:start + length]
-
 
 @dataclass(frozen=True)
 class StateSize:
@@ -137,8 +129,8 @@ class SosConfig:
     stable_range: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError(f"k must be positive, got {self.k}")
+        if not 0 < self.k < math.inf:
+            raise ValueError(f"k must be a positive finite number, got {self.k}")
         if self.stable_range is not None:
             a, b = self.stable_range
             if not (0 <= a <= b):

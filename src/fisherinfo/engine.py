@@ -31,6 +31,8 @@ PROBABILITY_ATOL = 1e-12
 # Upper bound of the index: a single state scores 4 * (1 + 1).
 FI_MAX = 8.0
 
+SD_SCALE = 2.0 ** -600  # takes any finite float below 2**424, where squares stay finite
+
 
 @dataclass(frozen=True)
 class StateDistribution:
@@ -145,6 +147,14 @@ def sample_sd(xs: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         raise DegenerateRange(f"need at least 2 points for a standard deviation, got {n}")
+    try:
+        return _sd(xs, n)
+    except OverflowError:
+        # a square or a sum overflowed: redo it on values scaled exactly by a power of two
+        return _sd([x * SD_SCALE for x in xs], n) / SD_SCALE
+
+
+def _sd(xs: Sequence[float], n: int) -> float:
     mean = math.fsum(xs) / n
     return math.sqrt(math.fsum((x - mean) ** 2 for x in xs) / (n - 1))
 

@@ -8,7 +8,7 @@ class FisherInfoError(Exception):
 # --- input validation ---
 
 class EmptyInput(FisherInfoError):
-    """The input table has no rows or no variables."""
+    """Nothing to work on: a table with no rows or variables, an empty window or series."""
 
 
 class MissingValue(FisherInfoError):
@@ -37,39 +37,25 @@ class DimensionMismatch(FisherInfoError):
     """Points or state sizes disagree on the number of variables."""
 
 
-class EmptyWindow(FisherInfoError):
-    """A window with zero points cannot be binned."""
-
-
 # --- index computation ---
 
 class DegenerateRange(FisherInfoError):
-    """The stable range holds fewer than two points, or lies outside the series."""
+    """A stable or slope range holds fewer than two points, or lies outside its series."""
 
 
 class SeriesTooShort(FisherInfoError):
     """The series is shorter than one window."""
 
 
-# --- regime classification ---
-
-class RangeTooShort(FisherInfoError):
-    """The analysis range holds fewer than two index points."""
-
-
 # --- file input/output ---
 
 class ParseError(FisherInfoError):
-    """A CSV cell could not be parsed."""
+    """An input or cache file could not be parsed: a bad cell, bad CSV syntax or non-UTF-8."""
 
     def __init__(self, message, line=None, column=None):
         super().__init__(message)
         self.line = line
         self.column = column
-
-
-class EmptySeries(FisherInfoError):
-    """An index series with no points cannot be plotted."""
 
 
 # --- remote data ---
@@ -88,6 +74,13 @@ class GapInSeries(FisherInfoError):
 
 class RangeMismatch(FisherInfoError):
     """Series to be assembled do not cover identical year ranges."""
+
+
+# --- aliases: earlier names for the same failures, kept for callers ---
+
+EmptyWindow = EmptyInput
+EmptySeries = EmptyInput
+RangeTooShort = DegenerateRange
 
 
 # --- warning categories ---

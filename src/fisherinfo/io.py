@@ -16,7 +16,7 @@ from typing import IO, Sequence
 
 from .core import TimeSeriesMatrix, validate_matrix
 from .engine import FiSeries
-from .errors import EmptyInput, EmptySeries, MissingValue, NonUniformTimeAxis, ParseError
+from .errors import EmptyInput, MissingValue, NonUniformTimeAxis, ParseError
 from .regimes import RegimeVerdict
 
 PLOT_Y_RANGE = (0.0, 8.0)
@@ -38,11 +38,12 @@ def format_number(x: float) -> str:
 def read_csv(source: str | Path | IO[str]) -> TimeSeriesMatrix:
     """Parse a time-series CSV and validate it into a TimeSeriesMatrix.
 
-    Raises ParseError (with 1-based line number and column name) for cells
-    that do not parse as numbers.  Validation errors (EmptyInput,
-    MissingValue, NonUniformTimeAxis) propagate from validate_matrix; a
-    MissingValue or NonUniformTimeAxis is re-raised with a message naming
-    the file and the CSV line, keeping its row and column attributes.
+    Raises ParseError, naming the file, for a cell that is not a number
+    (with its 1-based line and column name), for text that is not UTF-8 and
+    for bad CSV syntax.  Validation errors (EmptyInput, MissingValue,
+    NonUniformTimeAxis) propagate from validate_matrix; a MissingValue or
+    NonUniformTimeAxis is re-raised with a message naming the file and the
+    CSV line, keeping its row and column attributes.
     """
     if hasattr(source, "read"):
         return _read_csv_stream(source, name=getattr(source, "name", "<stream>"))
@@ -52,7 +53,7 @@ def read_csv(source: str | Path | IO[str]) -> TimeSeriesMatrix:
 
 
 def _read_csv_stream(fh: IO[str], name: str) -> TimeSeriesMatrix:
-    reader = csv.reader(fh)
+    reader = _checked(csv.reader(fh), name)
     header = next(reader, None)
     if header is None or len(header) == 0:
         raise EmptyInput(f"{name}: empty file, expected a header row")
@@ -97,6 +98,17 @@ def _read_csv_stream(fh: IO[str], name: str) -> TimeSeriesMatrix:
         ) from None
     except NonUniformTimeAxis as exc:
         raise NonUniformTimeAxis(f"{name}: line {line_nos[exc.row]}: {exc}", row=exc.row) from None
+
+
+def _checked(rows, name: str):
+    """Yield from a text file or CSV reader; a decode or CSV error becomes a ParseError."""
+    try:
+        yield from rows
+    except UnicodeDecodeError as exc:
+        # decoding runs in chunks, so the failing position is not a line
+        raise ParseError(f"{name}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # only a CSV reader raises it, and it counts lines
+        raise ParseError(f"{name}: line {rows.line_num}: {exc}", line=rows.line_num) from None
 
 
 def _parse_cell(cell: str, name: str, line_no: int, column: str) -> float:
@@ -238,10 +250,10 @@ def emit_plot(
     (range 0..8 by default).  Output bytes depend only on the series and
     y_range, so identical runs produce identical files.
 
-    Raises EmptySeries when the series has no points.
+    Raises EmptyInput when the series has no points.
     """
     if len(series) == 0:
-        raise EmptySeries("cannot plot an empty index series")
+        raise EmptyInput("cannot plot an empty index series")
     _with_output(destination, lambda fh: fh.write(_render_svg(series, y_range)))
 
 

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Sequence
 
 from .engine import FiSeries
-from .errors import RangeTooShort
+from .errors import DegenerateRange
 
 DEFAULT_SLOPE_TOL = 0.02
 
@@ -59,11 +59,11 @@ def _resolve_range(length: int, index_range: tuple[int, int] | None) -> tuple[in
     else:
         a, b = int(index_range[0]), int(index_range[1])
     if not (0 <= a <= b <= length - 1):
-        raise RangeTooShort(
+        raise DegenerateRange(
             f"range {a}:{b} is not a valid inclusive index pair for {length} points"
         )
     if b - a + 1 < 2:
-        raise RangeTooShort(f"range {a}:{b} holds fewer than 2 points")
+        raise DegenerateRange(f"range {a}:{b} holds fewer than 2 points")
     return a, b
 
 
@@ -75,7 +75,7 @@ def fi_slope(series: FiSeries | Sequence[float], index_range: tuple[int, int] | 
     consecutive position).  index_range is an optional inclusive (first,
     last) pair of point indices; default is the whole series.
 
-    Raises RangeTooShort when fewer than two points are selected.
+    Raises DegenerateRange when fewer than two points are selected.
     """
     values, steps = _values_and_steps(series)
     a, b = _resolve_range(len(values), index_range)

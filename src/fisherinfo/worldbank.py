@@ -17,7 +17,7 @@ from typing import IO
 
 from .core import TimeSeriesMatrix, validate_matrix
 from .errors import GapInSeries, NetworkError, NotFound, RangeMismatch
-from .io import _parse_cell
+from .io import _checked, _parse_cell
 
 API_BASE = "https://api.worldbank.org/v2"
 REQUEST_TIMEOUT = 30.0
@@ -161,11 +161,12 @@ def _summarize(years: list[int], limit: int = 8) -> str:
 
 
 def _read_cache(path: Path) -> list[tuple[float, float]]:
-    """Parse a `year,value` cache file; a malformed row raises ParseError."""
+    """Parse a `year,value` cache file; a malformed row or non-UTF-8 text raises ParseError."""
     series = []
     with open(path, "r", encoding="utf-8") as fh:
-        next(fh, None)  # header
-        for line_no, line in enumerate(fh, start=2):
+        lines = _checked(fh, str(path))
+        next(lines, None)  # header
+        for line_no, line in enumerate(lines, start=2):
             if line.strip():
                 year, _, value = line.partition(",")  # a missing or extra cell spoils value
                 series.append((_parse_cell(year, str(path), line_no, "year"),

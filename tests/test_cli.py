@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fisherinfo
+import fisherinfo.cli as cli
 import fisherinfo.worldbank as wb
 from fisherinfo import SosPrecedenceWarning
 from fisherinfo.cli import main
@@ -81,6 +87,22 @@ class TestCompute:
         assert code == 1
         assert err == (f"error: NonUniformTimeAxis: {path}: line 5: "
                        "spacing changes at step 3: 2.0 differs from 1.0\n")
+
+    def test_oversized_cell_exits_1_naming_file_and_line(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("t,a\n1,1\n2," + "1" * 200_000 + "\n")
+        code, _, err = run(["compute", str(path)], capsys)
+        assert code == 1
+        assert err == (f"error: ParseError: {path}: line 3: "
+                       "field larger than field limit (131072)\n")
+
+    @pytest.mark.parametrize("scale", ["1e200", "1e308"])
+    def test_values_near_the_float_limit_run(self, capsys, tmp_path, scale):
+        path = tmp_path / "huge.csv"
+        path.write_text("t,a\n" + "".join(f"{t},{'-' * (t % 2)}{scale}\n" for t in range(1, 10)))
+        code, out, _ = run(["compute", str(path)], capsys)
+        assert code == 0
+        assert "2 index point(s)" in out
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(["compute", "/no/such/file.csv"], capsys)
@@ -262,10 +284,89 @@ class TestFetch:
         assert "ParseError" in err
         assert f"{path}: line 3, column 'value'" in err
 
+    def test_non_utf8_cache_exits_1_naming_the_file(self, capsys, tmp_path):
+        req = wb.IndicatorRequest(wb.DEMO_COUNTRY, wb.TOTAL_POPULATION, wb.DEMO_YEARS)
+        path = wb.cache_path(req, tmp_path)
+        path.write_bytes(b"year,value\n1960,\xff\n")
+        code, _, err = run(
+            ["fetch", "--indicator", "SP.POP.TOTL", "--offline", "--cache-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert err == f"error: ParseError: {path}: not UTF-8 text (invalid start byte)\n"
+
     def test_reversed_years_exit_2(self, capsys):
-        code, _, err = run(["fetch", "--start", "2010", "--end", "2000"], capsys)
-        assert code == 2
-        assert "exceeds" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["fetch", "--start", "2010", "--end", "2000"])
+        assert exc.value.code == 2
+        assert "exceeds" in capsys.readouterr().err
+
+
+MISSING = "/no/such/input.csv"
+
+
+class TestExitCodes:
+    """2: an argument value refused before any file is read; 1: bad input; traceback: a bug."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", MISSING, "--window-size", "0"],
+        ["compute", MISSING, "--window-size", "1"],
+        ["compute", MISSING, "--window-size", "8", "--increment", "9"],
+        ["compute", MISSING, "--k", "0"],
+        ["compute", MISSING, "--k", "-1"],
+        ["compute", MISSING, "--k", "inf"],
+        ["compute", MISSING, "--stable-range", "5:2"],
+        ["compute", MISSING, "--sos", "0.5,1", "--stable-range", "5:2"],
+        ["estimate-sos", MISSING, "--k", "0"],
+        ["demo", "--cache-dir", MISSING, "--window-size", "1"],
+        ["fetch", "--offline", "--cache-dir", MISSING, "--start", "2010", "--end", "2000"],
+        ["fetch", "--offline", "--cache-dir", MISSING, "--country", ""],
+    ])
+    def test_bad_argument_exits_2_even_without_input(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err
+        assert "No such file" not in err
+
+    @pytest.mark.parametrize("content, kind", [
+        (None, "FileNotFoundError"),
+        (b"t,a\n1,1\n2,x\n", "ParseError"),
+        (b"t,a\n1,1\n2,\xff\n", "ParseError"),
+        (b"t,a\n1,1\n2,2\n4,3\n", "NonUniformTimeAxis"),
+    ], ids=["missing", "bad_cell", "not_utf8", "time_gap"])
+    @pytest.mark.parametrize("command", ["compute", "estimate-sos"])
+    def test_bad_input_exits_1_naming_the_file(self, capsys, tmp_path, command, content, kind):
+        path = tmp_path / "in.csv"
+        if content is not None:
+            path.write_bytes(content)
+        code, out, err = run([command, str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {kind}: ")
+        assert str(path) in err
+
+    def test_internal_value_error_is_not_a_usage_error(self, worked_csv_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("broken invariant")
+
+        monkeypatch.setattr(cli, "sliding_fi", broken)
+        with pytest.raises(ValueError, match="broken invariant"):
+            main(["compute", str(worked_csv_path), "--sos", "0.5,1"])
+
+    def test_process_statuses_and_no_traceback(self, tmp_path):
+        src = str(Path(fisherinfo.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"t,a\n1,\xff\n")
+        for argv, status in ((["compute", MISSING, "--window-size", "1"], 2),
+                             (["compute", str(bad)], 1)):
+            done = subprocess.run([sys.executable, "-m", "fisherinfo.cli", *argv],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == status, done.stderr
+            assert "error: " in done.stderr
+            assert "Traceback" not in done.stderr
 
 
 class TestDeterminism:

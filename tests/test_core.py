@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fisherinfo
 from fisherinfo import (
     EmptyInput,
     MissingValue,
@@ -217,6 +218,11 @@ class TestSosConfig:
         with pytest.raises(ValueError):
             SosConfig(k=0)
 
+    def test_rejects_infinite_k(self):
+        # an infinite k would turn a constant column's 0 * inf into a nan state size
+        with pytest.raises(ValueError, match="k must be a positive finite number"):
+            SosConfig(k=float("inf"))
+
     def test_rejects_reversed_range(self):
         with pytest.raises(ValueError):
             SosConfig(stable_range=(5, 2))
@@ -224,3 +230,18 @@ class TestSosConfig:
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError):
             SosConfig(stable_range=(-1, 2))
+
+
+def test_folded_error_names_are_aliases_and_all_18_names_stay_exported():
+    assert fisherinfo.EmptyWindow is fisherinfo.EmptyInput
+    assert fisherinfo.EmptySeries is fisherinfo.EmptyInput
+    assert fisherinfo.RangeTooShort is fisherinfo.DegenerateRange
+    names = (
+        "FisherInfoError EmptyInput MissingValue NonUniformTimeAxis DimensionMismatch "
+        "EmptyWindow DegenerateRange SeriesTooShort RangeTooShort ParseError EmptySeries "
+        "NetworkError NotFound GapInSeries RangeMismatch "
+        "SmallWindowWarning ConstantVariableWarning SosPrecedenceWarning"
+    ).split()
+    for name in names:
+        assert name in fisherinfo.__all__
+        assert issubclass(getattr(fisherinfo, name), (fisherinfo.FisherInfoError, UserWarning))

@@ -26,6 +26,7 @@ from fisherinfo import (
     validate_matrix,
     window_count,
 )
+from fisherinfo.engine import sample_sd
 
 from conftest import WORKED_ROWS
 from oracle import brute_bin, brute_fi, brute_fi_from_counts, brute_sample_sd
@@ -64,6 +65,13 @@ class TestEstimateStateSize:
         for i, column in enumerate(["Y1", "Y2"]):
             xs = [row[i] for row in WORKED_ROWS]
             assert delta.deltas[i] == pytest.approx(2 * brute_sample_sd(xs), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_values_near_the_float_limit_do_not_overflow(self, scale):
+        # at 1e200 a square overflows, at 1e308 the plain sum already does
+        m = make_matrix([scale, -scale, scale, -scale])
+        delta = estimate_state_size(m, SosConfig(k=1))
+        assert delta.deltas[0] == pytest.approx(scale * sample_sd([1, -1, 1, -1]), rel=1e-15)
 
     def test_single_point_range_rejected(self):
         m = make_matrix([1, 2, 3])
