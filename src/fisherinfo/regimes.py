@@ -20,6 +20,11 @@ from .errors import DegenerateRange
 
 DEFAULT_SLOPE_TOL = 0.02
 
+# A slope within this relative distance of the tolerance counts as on it:
+# rounding the inputs (say, adding a constant) moves a computed slope by
+# ~1e-16 relative, which must not tip a verdict that sits on the boundary.
+_TOL_REL_SLACK = 1e-9
+
 
 class RegimeCategory(str, Enum):
     STABLE = "stable"
@@ -97,7 +102,8 @@ def classify_regime(
     """Classify an index series as stable, declining, or increasing.
 
     declining iff slope < -tol, increasing iff slope > +tol, stable
-    otherwise.  tol must be positive.
+    otherwise; a slope equal to +-tol up to float rounding is stable.
+    tol must be positive.
     """
     if not tol > 0:
         raise ValueError(f"slope tolerance must be positive, got {tol}")
@@ -106,9 +112,10 @@ def classify_regime(
     slope = fi_slope(series, (a, b))
     selected = values[a:b + 1]
     mean_fi = math.fsum(selected) / len(selected)
-    if slope < -tol:
+    bound = tol * (1.0 + _TOL_REL_SLACK)
+    if slope < -bound:
         category = RegimeCategory.DECLINING
-    elif slope > tol:
+    elif slope > bound:
         category = RegimeCategory.INCREASING
     else:
         category = RegimeCategory.STABLE

@@ -113,6 +113,13 @@ class TestClassifyRegime:
         with pytest.raises(RangeTooShort):
             classify_regime([1.0], tol=0.01)
 
+    def test_slope_on_the_tolerance_survives_a_shift(self):
+        # the slope is 0.05 in exact decimals; in floats it lands just above
+        # tol for the base series and just below it once shifted by 3
+        base = classify_regime([1.0, 1.0, 1.1], tol=0.05)
+        moved = classify_regime([4.0, 4.0, 4.1], tol=0.05)
+        assert base.category is moved.category is RegimeCategory.STABLE
+
     @given(fi_values, st.floats(-5, 5, allow_nan=False))
     @settings(max_examples=200)
     def test_constant_shift_changes_only_the_mean(self, values, shift):
