@@ -105,7 +105,10 @@ def bin_windows(values, delta, window: int, increment: int = 1) -> np.ndarray:
         inside = labels[seeding, s:] < 0
         for column, d_i in zip(columns, d):
             x = column[rows]
-            inside &= np.abs(x - x[:, :1]) <= d_i
+            # a column spanning more than the float range overflows to inf,
+            # which compares the same way: only an infinite delta admits it
+            with np.errstate(over="ignore"):
+                inside &= np.abs(x - x[:, :1]) <= d_i
         hit, offset = np.nonzero(inside)
         labels[seeding[hit], s + offset] = found[seeding[hit]]
         found[seeding] += 1

@@ -82,6 +82,10 @@ def _label_range(text: str) -> tuple[float, float]:
     return a, b
 
 
+# argparse reads a value that starts with '-' as an option name
+_EQUALS_FORM = "a value starting with '-' needs the {}=FIRST:LAST form"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fisherinfo",
@@ -102,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"Chebyshev multiplier (default {DEFAULT_K:g})")
     estimate.add_argument("--stable-range", type=_index_range, default=None, metavar="FIRST:LAST",
                           help="0-based data-row indices of the stable period, inclusive "
-                               "(default: all rows)")
+                               f"(default: all rows); {_EQUALS_FORM.format('--stable-range')}")
 
     demo = sub.add_parser(
         "demo",
@@ -130,6 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cache directory (default: $FISHERINFO_CACHE_DIR or the shipped fixture)")
     fetch.add_argument("--out", default=None, help="also write the series as CSV to this path")
 
+    for cmd in sub.choices.values():  # main reports a refused value with this usage line
+        cmd.set_defaults(command_parser=cmd)
     return parser
 
 
@@ -144,12 +150,14 @@ def _add_pipeline_options(cmd: argparse.ArgumentParser) -> None:
                      help=f"Chebyshev multiplier for estimation (default {DEFAULT_K:g})")
     cmd.add_argument("--stable-range", type=_index_range, default=None, metavar="FIRST:LAST",
                      help="0-based data-row indices used to estimate state sizes, "
-                          "inclusive (default: all rows)")
+                          "inclusive (default: all rows); "
+                          + _EQUALS_FORM.format("--stable-range"))
     cmd.add_argument("--slope-tol", type=_positive_float, default=DEFAULT_SLOPE_TOL,
                      help=f"slope tolerance for the regime verdict (default {DEFAULT_SLOPE_TOL})")
     cmd.add_argument("--slope-range", type=_label_range, default=None, metavar="FIRST:LAST",
                      help="time labels as written in the CSV's first column, inclusive, "
-                          "analyzed for the verdict (default: all points)")
+                          "analyzed for the verdict (default: all points); "
+                          + _EQUALS_FORM.format("--slope-range"))
     cmd.add_argument("--out-csv", default=None, help="write the index series as CSV here")
     cmd.add_argument("--out-json", default=None, help="write the full result document here")
     cmd.add_argument("--plot", default=None, help="write an SVG line chart here")
@@ -244,24 +252,26 @@ def _run_pipeline(args, matrix: TimeSeriesMatrix, command: str, input_digests: d
     if args.plot:
         emit_plot(series, args.plot)
 
-    times = [format_time_label(t) for t in series.time.tolist()]
+    def label(i: int) -> str:  # only the labels printed are rendered
+        return format_time_label(series.time[i])
+
     print(
-        f"{len(series)} index point(s), {times[0]}..{times[-1]}, "
+        f"{len(series)} index point(s), {label(0)}..{label(-1)}, "
         f"window {args.window.window_size}, increment {args.window.increment}"
     )
     print("state size: " + ", ".join(f"{matrix.labels[i]}={d:g}" for i, d in enumerate(delta)))
     if len(series) <= 10:
-        for t, fi, m in zip(times, series.fi.tolist(), series.m_states.tolist()):
-            print(f"  t={t}: FI={fi!r} ({m} state(s))")
+        for i, (fi, m) in enumerate(zip(series.fi.tolist(), series.m_states.tolist())):
+            print(f"  t={label(i)}: FI={fi!r} ({m} state(s))")
     if verdict is not None:
         a, b = verdict.slope_window
         print(
             f"verdict: {verdict.category} "
-            f"(slope {verdict.slope:.6g} per step over {times[a]}..{times[b]}, "
+            f"(slope {verdict.slope:.6g} per step over {label(a)}..{label(b)}, "
             f"mean FI {verdict.mean_fi:.6g})"
         )
     if peaks:
-        print(f"local maxima at: {', '.join(times[i] for i in peaks)}")
+        print(f"local maxima at: {', '.join(map(label, peaks))}")
     return 0
 
 
@@ -316,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _configure(args)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.command_parser.error(str(exc))
     try:
         return _COMMANDS[args.command](args)
     except (FisherInfoError, OSError) as exc:

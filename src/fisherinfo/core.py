@@ -141,13 +141,15 @@ class SosConfig:
 def validate_matrix(
     labels: Sequence[str],
     times: Sequence[float],
-    values: Sequence[Sequence[float]],
+    values: Sequence[Sequence[float]] | np.ndarray,
 ) -> TimeSeriesMatrix:
     """Validate a labeled table of reals into a TimeSeriesMatrix.
 
-    Checks shape, finiteness of every cell, and a strictly increasing
-    time axis with constant spacing (relative tolerance 1e-9).  Values
-    are never altered: the output grid equals the input cell for cell.
+    values is a sequence of rows or a 2-D array; times a sequence or a 1-D
+    array.  Checks shape, finiteness of every cell, and a strictly
+    increasing time axis with constant spacing (relative tolerance 1e-9).
+    Values are never altered: the output grid equals the input cell for
+    cell, and an input array is copied, not frozen.
 
     Raises
     ------
@@ -160,9 +162,13 @@ def validate_matrix(
         Time stamps not strictly increasing, or spacing not constant.
     """
     labels = tuple(str(lab) for lab in labels)
-    times = tuple(float(t) for t in times)
+    if isinstance(times, np.ndarray) and times.ndim == 1:
+        times = tuple(times.astype(float).tolist())
+    else:
+        times = tuple(float(t) for t in times)
     n = len(labels)
-    rows = list(values)
+    # a 2-D array is checked as a whole; anything else row by row
+    rows = values if isinstance(values, np.ndarray) and values.ndim == 2 else list(values)
 
     if n == 0:
         raise EmptyInput("no variables: at least one variable column is required")
@@ -170,9 +176,13 @@ def validate_matrix(
         raise EmptyInput("no data rows: at least one time step is required")
     if len(rows) != len(times):
         raise NonUniformTimeAxis(f"{len(rows)} value rows but {len(times)} time stamps")
-    for j, row in enumerate(rows):
-        if len(row) != n:
-            raise MissingValue(f"row {j} has {len(row)} values, expected {n}", row=j)
+    if isinstance(rows, np.ndarray):
+        if rows.shape[1] != n:
+            raise MissingValue(f"row 0 has {rows.shape[1]} values, expected {n}", row=0)
+    else:
+        for j, row in enumerate(rows):
+            if len(row) != n:
+                raise MissingValue(f"row {j} has {len(row)} values, expected {n}", row=j)
 
     # one conversion for the whole grid; the first bad cell is located only on failure
     grid = np.array(rows, dtype=float)

@@ -11,8 +11,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Sequence
+
+import numpy as np
 
 from .core import TimeSeriesMatrix, validate_matrix
 from .engine import FiSeries
@@ -46,33 +49,78 @@ def read_csv(source: str | Path | IO[str]) -> TimeSeriesMatrix:
     CSV line, keeping its row and column attributes.
     """
     if hasattr(source, "read"):
-        return _read_csv_stream(source, name=getattr(source, "name", "<stream>"))
-    path = Path(source)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _read_csv_stream(fh, name=str(path))
+        name = getattr(source, "name", "<stream>")
+        lines = list(_checked(source, name))
+    else:
+        name = str(Path(source))
+        with open(name, "r", encoding="utf-8", newline="") as fh:
+            lines = list(_checked(fh, name))
+    return _parse_lines(lines, name)
 
 
-def _read_csv_stream(fh: IO[str], name: str) -> TimeSeriesMatrix:
-    reader = _checked(csv.reader(fh), name)
-    header = next(reader, None)
+def _parse_lines(lines: list[str], name: str) -> TimeSeriesMatrix:
+    """Parse the body in one numpy call; the per-cell reader takes over when that fails.
+
+    The per-cell reader is the reference: it runs whenever the bulk parse
+    refuses the body or the grid does not validate, and it either returns
+    the same matrix or raises the error naming the file, line and column.
+    """
+    reader = csv.reader(lines)
+    rows = _checked(reader, name)
+    header = next(rows, None)
     if header is None or len(header) == 0:
         raise EmptyInput(f"{name}: empty file, expected a header row")
     header = [cell.strip() for cell in header]
     if len(header) < 2:
         raise EmptyInput(f"{name}: header has no variable columns")
-    labels = header[1:]
 
+    grid = _bulk_grid(lines[reader.line_num:])
+    if grid is not None:
+        try:
+            # a column count other than the header's is a MissingValue here
+            return validate_matrix(header[1:], grid[:, 0], grid[:, 1:])
+        except (MissingValue, NonUniformTimeAxis):
+            pass  # the per-cell reader below reports the file and line
+    return _read_cells(rows, header, name)
+
+
+# loadtxt strips these from a cell as whitespace, float() refuses them
+_FLOAT_REFUSES = "\x1c\x1d\x1e\x1f"
+
+
+def _bulk_grid(body: list[str]) -> np.ndarray | None:
+    """The data lines as one 2-D float grid, or None where loadtxt may disagree.
+
+    None hands the body to the per-cell reader (csv plus float()) when the
+    two could read it differently: no data rows (loadtxt would warn), a
+    \\x1c-\\x1f character, a line longer than the csv field limit, and
+    anything loadtxt refuses (quotes, comma-only rows, `1_000`, non-ASCII
+    digits, ragged rows).  Both skip blank lines.
+    """
+    text = "".join(body)
+    if (not text or text.isspace() or any(c in text for c in _FLOAT_REFUSES)
+            or max(map(len, body)) > csv.field_size_limit()):
+        return None
+    try:
+        return np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except Exception:  # whatever loadtxt refuses, the per-cell reader judges
+        return None
+
+
+def _read_cells(rows, header: list[str], name: str) -> TimeSeriesMatrix:
+    """Convert the data rows cell by cell and validate them, naming the line of any fault."""
+    labels = header[1:]
     times: list[float] = []
-    rows: list[list[float]] = []
+    values: list[list[float]] = []
     line_nos: list[int] = []  # CSV line of each data row
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(rows, start=2):
         try:
             # float() itself ignores the whitespace around a number
             cells = [float(cell) for cell in row]
         except ValueError:
             cells = []
         if len(cells) != len(header):
-            # the slow path: skip a blank row or report the first bad cell
+            # skip a blank row or report the first bad cell
             if not row or all(cell.strip() == "" for cell in row):
                 continue
             if len(row) != len(header):
@@ -82,17 +130,17 @@ def _read_csv_stream(fh: IO[str], name: str) -> TimeSeriesMatrix:
                 )
             cells = [_parse_cell(cell, name, line_no, header[i]) for i, cell in enumerate(row)]
         times.append(cells[0])
-        rows.append(cells[1:])
+        values.append(cells[1:])
         line_nos.append(line_no)
 
-    if not rows:
+    if not values:
         raise EmptyInput(f"{name}: header only, no data rows")
     try:
-        return validate_matrix(labels, times, rows)
+        return validate_matrix(labels, times, values)
     except MissingValue as exc:
         j, i = exc.row, exc.column
         raise MissingValue(
-            f"{name}: line {line_nos[j]}, column {labels[i]!r}: non-finite value {rows[j][i]!r}",
+            f"{name}: line {line_nos[j]}, column {labels[i]!r}: non-finite value {values[j][i]!r}",
             row=j,
             column=i,
         ) from None
@@ -149,6 +197,11 @@ class ResultDocument:
     verdict: RegimeVerdict | None = None
     peaks: tuple[int, ...] = field(default_factory=tuple)
 
+    @cached_property
+    def time_labels(self) -> tuple[str, ...]:
+        """Every point's time rendered by format_time_label, once for all writers."""
+        return tuple(map(format_time_label, self.series.time.tolist()))
+
 
 def write_results(doc: ResultDocument, fmt: str, destination: str | Path | IO[str]) -> None:
     """Write a result document as CSV (`time,fi,m_states`) or JSON.
@@ -167,8 +220,8 @@ def write_results(doc: ResultDocument, fmt: str, destination: str | Path | IO[st
 def _write_csv(doc: ResultDocument, fh: IO[str]) -> None:
     series = doc.series
     fh.write("time,fi,m_states\n")
-    for t, fi, m in zip(series.time.tolist(), series.fi.tolist(), series.m_states.tolist()):
-        fh.write(f"{format_time_label(t)},{format_number(fi)},{m}\n")
+    for t, fi, m in zip(doc.time_labels, series.fi.tolist(), series.m_states.tolist()):
+        fh.write(f"{t},{format_number(fi)},{m}\n")
 
 
 def _verdict_dict(verdict: RegimeVerdict) -> dict:
@@ -204,10 +257,10 @@ def _write_json(doc: ResultDocument, fh: IO[str]) -> None:
     series = doc.series
     points = "[]"
     if len(series):
-        columns = (series.time.tolist(), series.fi.tolist(), series.m_states.tolist(),
+        columns = (doc.time_labels, series.fi.tolist(), series.m_states.tolist(),
                    series.start.tolist(), series.end.tolist())
         points = "[\n" + ",\n".join(
-            _JSON_POINT.format(format_time_label(t), fi, m, a, b)
+            _JSON_POINT.format(t, fi, m, a, b)
             for t, fi, m, a, b in zip(*columns)
         ) + "\n]"
     members = {

@@ -136,13 +136,21 @@ def _fetch_remote(req: IndicatorRequest, timeout: float) -> list[tuple[int, floa
         raise NotFound(
             f"no data returned for {req.country_code}/{req.indicator_id} {start}-{end}"
         )
+    if not isinstance(payload[1], list):
+        raise NetworkError(f"unexpected API response shape: data is {type(payload[1]).__name__}")
 
     by_year: dict[int, float] = {}
     for record in payload[1]:
-        value = record.get("value")
-        if value is None:
-            continue
-        by_year[int(record["date"])] = float(value)
+        try:
+            value = record.get("value")
+            if value is None:
+                continue
+            by_year[int(record["date"])] = float(value)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise NetworkError(
+                f"malformed World Bank record for {req.country_code}/{req.indicator_id}: "
+                f"{record!r}"
+            ) from None
 
     missing = [y for y in range(start, end + 1) if y not in by_year]
     if missing:

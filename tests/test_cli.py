@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import fisherinfo
 import fisherinfo.cli as cli
+import fisherinfo.io as fio
 import fisherinfo.worldbank as wb
 from fisherinfo import SosPrecedenceWarning
 from fisherinfo.cli import main
@@ -100,9 +103,29 @@ class TestCompute:
     def test_values_near_the_float_limit_run(self, capsys, tmp_path, scale):
         path = tmp_path / "huge.csv"
         path.write_text("t,a\n" + "".join(f"{t},{'-' * (t % 2)}{scale}\n" for t in range(1, 10)))
-        code, out, _ = run(["compute", str(path)], capsys)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["compute", str(path)], capsys)
         assert code == 0
         assert "2 index point(s)" in out
+        assert err == ""
+        assert [str(w.message) for w in caught] == []
+
+    def test_time_labels_are_rendered_once_per_run(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("t,a\n" + "".join(f"{t},{t % 7}\n" for t in range(1, 208)))
+        outputs = ["--out-csv", str(tmp_path / "fi.csv"), "--out-json", str(tmp_path / "fi.json"),
+                   "--plot", str(tmp_path / "fi.svg")]
+        with mock.patch.object(fio, "format_time_label", wraps=fio.format_time_label) as in_io, \
+                mock.patch.object(cli, "format_time_label", wraps=cli.format_time_label) as in_cli:
+            code, out, _ = run(["compute", str(path), "--sos", "1", *outputs], capsys)
+        assert code == 0
+        assert "200 index point(s), 8..207" in out
+        # one column for both writers and the SVG's ticks; stdout renders only
+        # what it prints: first, last, the verdict's range and the peaks
+        assert in_io.call_count <= 200 + 10
+        peaks = out.split("local maxima at: ")[1].split(", ")
+        assert in_cli.call_count == 4 + len(peaks)
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(["compute", "/no/such/file.csv"], capsys)
@@ -295,6 +318,29 @@ class TestFetch:
         assert code == 1
         assert err == f"error: ParseError: {path}: not UTF-8 text (invalid start byte)\n"
 
+    @pytest.mark.parametrize("records", [
+        [{"date": "2000a", "value": 1.0}],
+        ["2000"],
+        [{"value": 1.0}],
+        [{"date": "2000", "value": "lots"}],
+    ], ids=["bad_date", "not_a_dict", "no_date", "bad_value"])
+    def test_malformed_api_record_exits_1_naming_it(self, capsys, tmp_path, monkeypatch, records):
+        monkeypatch.setattr(wb, "_get_json", lambda url, params, timeout: [{"page": 1}, records])
+        code, out, err = run(
+            ["fetch", "--start", "2000", "--end", "2000", "--cache-dir", str(tmp_path)], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: NetworkError: malformed World Bank record for "
+                       f"USA/NY.GDP.PCAP.CD: {records[0]!r}\n")
+        assert list(tmp_path.iterdir()) == []  # nothing cached
+
+    def test_data_block_that_is_not_a_list_exits_1(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(wb, "_get_json", lambda url, params, timeout: [{"page": 1}, 5])
+        code, _, err = run(["fetch", "--cache-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert err == "error: NetworkError: unexpected API response shape: data is int\n"
+
     def test_reversed_years_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fetch", "--start", "2010", "--end", "2000"])
@@ -329,6 +375,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: " in err
         assert "No such file" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", MISSING, "--window-size", "1"],
+        ["estimate-sos", MISSING, "--k", "0"],
+        ["demo", "--cache-dir", MISSING, "--increment", "0"],
+        ["fetch", "--offline", "--cache-dir", MISSING, "--country", ""],
+    ], ids=["compute", "estimate-sos", "demo", "fetch"])
+    def test_refused_value_prints_the_subcommand_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: fisherinfo {argv[0]} [-h]")
+        assert f"\nfisherinfo {argv[0]}: error: " in err
+
+    @pytest.mark.parametrize("command", ["compute", "estimate-sos"])
+    def test_negative_stable_range_reaches_its_check_in_the_equals_form(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, MISSING, "--stable-range=-1:3"])
+        assert exc.value.code == 2
+        assert ("error: stable_range must satisfy 0 <= first <= last, got -1:3"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["compute", "estimate-sos", "demo"])
+    def test_help_names_the_equals_form_for_ranges(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "400")  # one line per option
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert "--stable-range=FIRST:LAST" in out
+        if command != "estimate-sos":
+            assert "--slope-range=FIRST:LAST" in out
 
     @pytest.mark.parametrize("content, kind", [
         (None, "FileNotFoundError"),

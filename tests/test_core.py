@@ -165,6 +165,24 @@ class TestValidateMatrix:
             for i, cell in enumerate(row):
                 # hex() tells -0.0 from 0.0 and keeps every bit of subnormals
                 assert float(m.values[j, i]).hex() == cell.hex()
+        # a 2-D array and a 1-D time column give the same matrix
+        again = validate_matrix(m.labels, np.arange(len(rows)), np.array(rows))
+        assert again.times == m.times
+        assert again.values.tobytes() == m.values.tobytes()
+
+    def test_array_input_is_copied_and_checked_whole(self):
+        values = np.array([[0.0, 1.0], [2.0, 3.0]])
+        m = validate_matrix(["a", "b"], np.array([1.0, 2.0]), values)
+        values[0, 0] = 9.0  # the caller's array stays theirs, and writable
+        assert m.values[0, 0] == 0.0
+        assert m.times == (1.0, 2.0) and type(m.times[0]) is float
+        with pytest.raises(MissingValue, match=r"^row 0 has 1 values, expected 2$") as exc:
+            validate_matrix(["a", "b"], [1, 2], values[:, :1])
+        assert exc.value.row == 0
+        values[1, 1] = np.nan
+        with pytest.raises(MissingValue) as exc:
+            validate_matrix(["a", "b"], [1, 2], values)
+        assert (exc.value.row, exc.value.column) == (1, 1)
 
 
 class TestStateSize:

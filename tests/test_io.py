@@ -1,14 +1,20 @@
 import io as stdio
 import json
+import warnings
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import fisherinfo.io as fio
 from fisherinfo import (
     EmptyInput,
     EmptySeries,
     FiSeries,
+    FisherInfoError,
     MissingValue,
     NonUniformTimeAxis,
     ParseError,
@@ -139,6 +145,117 @@ class TestReadCsv:
         assert again.labels == m.labels
         assert again.times == m.times
         assert np.array_equal(again.values, m.values)
+
+
+# Padding that float() and loadtxt both strip.
+SPACES = ["", " ", "\t", "\x0b", "\x0c", "\xa0", "\u2003"]
+# Cells the two parsers may read differently: float() takes `1_000` and
+# non-ASCII digits, loadtxt strips \x1c-\x1f and refuses quotes, neither
+# takes a BOM; and the non-finite spellings.
+ODD_CELLS = ['"1.5"', '" 2"', "1_000", "\u0661\u0662", "\ufeff1", "\x1c1", "1\x1f", "",
+             " ", "abc", "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "+infinity", "1e400"]
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "0", "1e-320", "+.5", "5.", "1E5"]),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """A small CSV text; half of them hold a few cells or rows that one reader may refuse."""
+    odd = draw(st.booleans())
+
+    def cell(text):
+        if odd and draw(st.integers(0, 7)) == 0:
+            text = draw(st.sampled_from(ODD_CELLS))
+        return draw(st.sampled_from(SPACES)) + text + draw(st.sampled_from(SPACES))
+
+    n_vars = draw(st.integers(1, 3))
+    lines = [draw(st.sampled_from(["", "\ufeff"])) + ",".join(["t", *"abc"[:n_vars]])]
+    for t in range(1, draw(st.integers(1, 8)) + 1):
+        if odd and draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", ",", ", ,", "\t,\t,\t"])))
+        lines.append(",".join([cell(str(t)), *(cell(draw(NUMBERS)) for _ in range(n_vars))]))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")  # a blank line
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def read_outcome(text):
+    """What read_csv makes of a text: the exact matrix, or the error and its attributes."""
+    try:
+        m = read_csv(stdio.StringIO(text, newline=""))
+    except FisherInfoError as exc:
+        return type(exc).__name__, str(exc), sorted(vars(exc).items())
+    return m.labels, np.array(m.times).tobytes(), m.values.shape, m.values.tobytes()
+
+
+class TestBulkIngest:
+    """The bulk parse returns what the per-cell reader returns, or hands the body to it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(csv_texts())
+    def test_same_matrix_or_error_as_the_per_cell_reader(self, text):
+        with mock.patch.object(fio, "_bulk_grid", return_value=None):
+            per_cell = read_outcome(text)
+        with mock.patch.object(fio, "_read_cells", side_effect=fio._read_cells) as fallback:
+            assert read_outcome(text) == per_cell
+        event("fell back" if fallback.called else "bulk parse")
+
+    @pytest.mark.parametrize("text", [
+        "t,a,b\n1,0.1,-0.0\n2,1e-320,5e300\n",
+        "t,a\r\n1, 0.5 \r\n\r\n2,\t0.25\r\n",
+        "t,a\r1,0.5\r2,0.25",
+        "t,a\n1,\xa00.5\u2003\n2,1E5\n\n",
+    ], ids=["repr", "crlf_padded_blank", "cr", "unicode_spaces"])
+    def test_clean_files_take_the_bulk_path(self, text):
+        expected = read_outcome(text)
+        with mock.patch.object(fio, "_read_cells", side_effect=AssertionError("fell back")):
+            assert read_outcome(text) == expected
+
+    @pytest.mark.parametrize("text, first", [
+        ('t,a\n1,"0.5"\n2,0.25\n', 0.5),
+        ("t,a\n1,0.5\n , \n2,0.25\n", 0.5),
+        ("t,a\n1,1_000\n2,0.25\n", 1000.0),
+        ("t,a\n1,\u0661\n2,0.25\n", 1.0),
+    ], ids=["quoted", "comma_only_row", "underscore", "arabic_digit"])
+    def test_cells_only_float_reads_fall_back_to_the_same_matrix(self, text, first):
+        with mock.patch.object(fio, "_read_cells", side_effect=fio._read_cells) as fallback:
+            m = read_csv(stdio.StringIO(text))
+        assert fallback.called
+        assert m.times == (1.0, 2.0)
+        assert m.values[:, 0].tolist() == [first, 0.25]
+
+    def test_cell_loadtxt_strips_but_float_refuses_is_a_parse_error(self):
+        with pytest.raises(ParseError) as exc:
+            read_csv(stdio.StringIO("t,a\n1,0.5\n2,\x1c1\n"))
+        # str.strip() removes the \x1c that float() refuses, so the message shows '1'
+        assert str(exc.value) == "<stream>: line 3, column 'a': cannot parse '1' as a number"
+        assert (exc.value.line, exc.value.column) == (3, "a")
+
+    def test_blank_lines_only_are_empty_input_without_a_warning(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(EmptyInput, match=r"^<stream>: header only, no data rows$"):
+                read_csv(stdio.StringIO("t,a\n\n\r\n\n", newline=""))
+        assert caught == []
+
+    def test_cell_over_the_field_limit_is_a_parse_error(self):
+        # loadtxt reads this cell as 1.0; the csv module refuses it
+        text = "t,a\n1,1\n2," + "0" * 200_000 + "1\n3,2\n"
+        with pytest.raises(ParseError) as exc:
+            read_csv(stdio.StringIO(text))
+        assert str(exc.value) == "<stream>: line 3: field larger than field limit (131072)"
+        assert exc.value.line == 3
+
+    def test_validator_runs_on_the_bulk_path(self, worked_csv_path):
+        real = fio.validate_matrix
+        with mock.patch.object(fio, "validate_matrix", side_effect=real) as validate, \
+                mock.patch.object(fio, "_read_cells", side_effect=AssertionError("fell back")):
+            read_csv(worked_csv_path)
+        labels, times, values = validate.call_args.args
+        assert isinstance(values, np.ndarray) and values.shape == (8, 2)
 
 
 class TestWriteResults:
