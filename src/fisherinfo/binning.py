@@ -54,17 +54,12 @@ def same_state(a: Sequence[float], b: Sequence[float], delta) -> bool:
     """True iff points a and b lie within one state hyper-rectangle.
 
     Inclusive in every dimension: |a_i - b_i| <= delta_i for all i.
-    delta may be a StateSize or any sequence of non-negative reals.
+    delta may be a StateSize or any sequence of non-negative reals.  This
+    is the two-point case of bin_window.
     """
-    pa = np.asarray(a, dtype=float)
-    pb = np.asarray(b, dtype=float)
-    d = _as_deltas(delta)
-    if not (pa.shape == pb.shape == d.shape):
-        raise DimensionMismatch(
-            f"point/state-size lengths disagree: {pa.shape[0] if pa.ndim else 0}, "
-            f"{pb.shape[0] if pb.ndim else 0}, {d.shape[0]}"
-        )
-    return bool(np.all(np.abs(pa - pb) <= d))
+    if len(a) != len(b):
+        raise DimensionMismatch(f"point lengths disagree: {len(a)}, {len(b)}")
+    return bin_window([a, b], delta).n_states == 1
 
 
 def bin_windows(values, delta, window: int, increment: int = 1) -> np.ndarray:
@@ -72,8 +67,9 @@ def bin_windows(values, delta, window: int, increment: int = 1) -> np.ndarray:
 
     values is a (T, n) array of points (a 1-D array is one variable);
     windows start at rows 0, increment, 2*increment, ... while a full window
-    fits.  Returns a (windows, window) integer array whose entry [k, j] is
-    the discovery-order index of the state that point j of window k joined.
+    fits, and are read through a strided view of values, not copied.
+    Returns a (windows, window) integer array whose entry [k, j] is the
+    discovery-order index of the state that point j of window k joined.
 
     The sweep visits seed positions s = 0..window-1 for all windows
     together.  In every window whose point s is still unbinned, that point
@@ -93,18 +89,16 @@ def bin_windows(values, delta, window: int, increment: int = 1) -> np.ndarray:
             f"points have {pts.shape[1]} variables but state size has {d.shape[0]}"
         )
 
-    columns = np.ascontiguousarray(pts.T)
-    starts = np.arange(0, len(pts) - window + 1, increment)
-    labels = np.full((len(starts), window), -1, dtype=np.min_scalar_type(-window))
-    found = np.zeros(len(starts), dtype=np.intp)  # states discovered so far, per window
+    windows = np.lib.stride_tricks.sliding_window_view(pts, window, axis=0)[::increment]
+    labels = np.full((len(windows), window), -1, dtype=np.min_scalar_type(-window))
+    found = np.zeros(len(windows), dtype=np.intp)  # states discovered so far, per window
     for s in range(window):
         seeding = np.flatnonzero(labels[:, s] < 0)
         if seeding.size == 0:
             continue
-        rows = starts[seeding, None] + np.arange(s, window)
         inside = labels[seeding, s:] < 0
-        for column, d_i in zip(columns, d):
-            x = column[rows]
+        for i, d_i in enumerate(d):
+            x = windows[seeding, i, s:]
             # a column spanning more than the float range overflows to inf,
             # which compares the same way: only an infinite delta admits it
             with np.errstate(over="ignore"):

@@ -320,18 +320,27 @@ _COMMANDS = {
 }
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {category.__name__}: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # warnings print as one line, without Python's file:line and source echo
+    default_format, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
-        _configure(args)
-    except ValueError as exc:
-        args.command_parser.error(str(exc))
-    try:
-        return _COMMANDS[args.command](args)
-    except (FisherInfoError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            _configure(args)
+        except ValueError as exc:
+            args.command_parser.error(str(exc))
+        try:
+            return _COMMANDS[args.command](args)
+        except (FisherInfoError, OSError) as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

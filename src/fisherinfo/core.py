@@ -190,7 +190,9 @@ def validate_matrix(
     if not finite.all():
         j, i = (int(k) for k in np.argwhere(~finite)[0])
         raise MissingValue(
-            f"non-finite value at row {j}, column {labels[i]!r}: {rows[j][i]!r}", row=j, column=i
+            f"non-finite value at row {j}, column {labels[i]!r}: {float(grid[j, i])!r}",
+            row=j,
+            column=i,
         )
 
     _check_time_axis(times)

@@ -163,8 +163,11 @@ def _parse_cell(cell: str, name: str, line_no: int, column: str) -> float:
     try:
         return float(cell)
     except ValueError:
+        # strip only the ASCII whitespace float() ignores; str.strip() would
+        # also hide the \x1c-\x1f separators that float() refuses
+        shown = cell.strip(" \t\n\r\x0b\x0c")
         raise ParseError(
-            f"{name}: line {line_no}, column {column!r}: cannot parse {cell.strip()!r} as a number",
+            f"{name}: line {line_no}, column {column!r}: cannot parse {shown!r} as a number",
             line=line_no,
             column=column,
         ) from None

@@ -9,6 +9,7 @@ fixture) makes the whole demonstration pipeline reproducible offline.
 from __future__ import annotations
 
 import importlib.resources
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from pathlib import Path
 from typing import IO
 
 from .core import TimeSeriesMatrix, validate_matrix
-from .errors import GapInSeries, NetworkError, NotFound, RangeMismatch
+from .errors import GapInSeries, NetworkError, NotFound, ParseError, RangeMismatch
 from .io import _checked, _parse_cell
 
 API_BASE = "https://api.worldbank.org/v2"
@@ -97,7 +98,8 @@ def fetch_indicator(
     Raises NetworkError when offline with no cached copy or when the API
     is unreachable; NotFound for unknown indicator or country; GapInSeries
     when the years served are not exactly the requested range (gaps are
-    reported, never imputed); ParseError for a malformed cache row.
+    reported, never imputed); ParseError for a malformed or non-finite
+    cache row.
     """
     path = cache_path(req, cache_dir)
     start, end = req.year_range
@@ -145,7 +147,10 @@ def _fetch_remote(req: IndicatorRequest, timeout: float) -> list[tuple[int, floa
             value = record.get("value")
             if value is None:
                 continue
-            by_year[int(record["date"])] = float(value)
+            year, number = int(record["date"]), float(value)
+            if not math.isfinite(number):  # would be cached, then refused on reading
+                raise ValueError(number)
+            by_year[year] = number
         except (AttributeError, KeyError, TypeError, ValueError):
             raise NetworkError(
                 f"malformed World Bank record for {req.country_code}/{req.indicator_id}: "
@@ -169,7 +174,11 @@ def _summarize(years: list[int], limit: int = 8) -> str:
 
 
 def _read_cache(path: Path) -> list[tuple[float, float]]:
-    """Parse a `year,value` cache file; a malformed row or non-UTF-8 text raises ParseError."""
+    """Parse a `year,value` cache file.
+
+    A malformed row, a non-finite year or value, or non-UTF-8 text raises
+    ParseError.
+    """
     series = []
     with open(path, "r", encoding="utf-8") as fh:
         lines = _checked(fh, str(path))
@@ -177,9 +186,20 @@ def _read_cache(path: Path) -> list[tuple[float, float]]:
         for line_no, line in enumerate(lines, start=2):
             if line.strip():
                 year, _, value = line.partition(",")  # a missing or extra cell spoils value
-                series.append((_parse_cell(year, str(path), line_no, "year"),
-                               _parse_cell(value, str(path), line_no, "value")))
+                series.append((_cache_cell(year, str(path), line_no, "year"),
+                               _cache_cell(value, str(path), line_no, "value")))
     return sorted(series)
+
+
+def _cache_cell(cell: str, name: str, line_no: int, column: str) -> float:
+    number = _parse_cell(cell, name, line_no, column)
+    if not math.isfinite(number):
+        raise ParseError(
+            f"{name}: line {line_no}, column {column!r}: non-finite value {number!r}",
+            line=line_no,
+            column=column,
+        )
+    return number
 
 
 def _write_series(fh: IO[str], series: list[tuple[int, float]]) -> None:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from fisherinfo import (
     DimensionMismatch,
+    EmptyInput,
     EmptyWindow,
     StateAssignment,
     StateSize,
@@ -75,6 +77,17 @@ class TestSameState:
             same_state((1.0, 2.0), (1.0,), (0.5, 0.5))
         with pytest.raises(DimensionMismatch):
             same_state((1.0,), (1.0,), (0.5, 0.5))
+
+    def test_span_beyond_the_float_range_shares_only_under_an_infinite_delta(self):
+        # 1e308 - (-1e308) overflows to inf; no RuntimeWarning may escape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_state((1e308,), (-1e308,), (math.inf,)) is True
+            assert same_state((1e308,), (-1e308,), (1e308,)) is False
+
+    def test_points_without_variables_are_empty_input(self):
+        with pytest.raises(EmptyInput):
+            same_state((), (), ())
 
 
 class TestBinWindow:

@@ -174,6 +174,34 @@ class TestCompute:
         assert code == 0
 
 
+class TestWarnings:
+    def test_each_warning_prints_as_one_line(self, tmp_path):
+        src = str(Path(fisherinfo.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONWARNINGS", None)
+        path = tmp_path / "const.csv"
+        path.write_text("t,a,b\n" + "".join(f"{t},{t % 3},5\n" for t in range(12)))
+        done = subprocess.run(
+            [sys.executable, "-m", "fisherinfo.cli", "compute", str(path), "--window-size", "4"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 2, done.stderr
+        assert lines[0].startswith("warning: SmallWindowWarning: ")
+        assert lines[1].startswith("warning: ConstantVariableWarning: ")
+        assert ".py:" not in done.stderr
+
+    def test_main_restores_the_warning_format(self, worked_csv_path, capsys):
+        before = warnings.formatwarning
+        with pytest.warns(SosPrecedenceWarning):
+            main(["compute", str(worked_csv_path), "--sos", "0.5,1", "--k", "2"])
+        with pytest.raises(SystemExit):
+            main(["compute", str(worked_csv_path), "--window-size", "1"])
+        capsys.readouterr()
+        assert warnings.formatwarning is before
+
+
 class TestEstimateSos:
     def test_prints_per_variable_deltas(self, worked_csv_path, capsys):
         code, out, _ = run(["estimate-sos", str(worked_csv_path)], capsys)
@@ -238,6 +266,20 @@ class TestDemo:
         code, _, err = run(["demo", "--cache-dir", str(tmp_path)], capsys)
         assert code == 1
         assert "GapInSeries" in err
+
+    def test_non_finite_cache_value_exits_1_naming_file_line_and_column(self, capsys, tmp_path):
+        for indicator in (wb.GDP_PER_CAPITA, wb.TOTAL_POPULATION):
+            req = wb.IndicatorRequest(wb.DEMO_COUNTRY, indicator, wb.DEMO_YEARS)
+            lines = wb.cache_path(req, wb.fixture_cache_dir()).read_text().splitlines()
+            if indicator == wb.GDP_PER_CAPITA:
+                assert lines[11].startswith("1970,")
+                lines[11] = "1970,nan"
+                bad = wb.cache_path(req, tmp_path)
+            wb.cache_path(req, tmp_path).write_text("\n".join(lines) + "\n")
+        code, out, err = run(["demo", "--cache-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert err == f"error: ParseError: {bad}: line 12, column 'value': non-finite value nan\n"
+        assert out == ""
 
     def test_cache_dir_env_override(self, capsys, tmp_path, monkeypatch):
         from fisherinfo.worldbank import CACHE_DIR_ENV
@@ -323,7 +365,9 @@ class TestFetch:
         ["2000"],
         [{"value": 1.0}],
         [{"date": "2000", "value": "lots"}],
-    ], ids=["bad_date", "not_a_dict", "no_date", "bad_value"])
+        [{"date": "2000", "value": float("nan")}],
+        [{"date": "2000", "value": "1e999"}],
+    ], ids=["bad_date", "not_a_dict", "no_date", "bad_value", "nan_value", "inf_value"])
     def test_malformed_api_record_exits_1_naming_it(self, capsys, tmp_path, monkeypatch, records):
         monkeypatch.setattr(wb, "_get_json", lambda url, params, timeout: [{"page": 1}, records])
         code, out, err = run(

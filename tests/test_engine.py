@@ -321,12 +321,12 @@ class TestOracleEquivalence:
 
 @st.composite
 def sliding_cases(draw):
-    """A series, state sizes and a window scheme: w in 2..32, n in 1..8.
+    """A series, state sizes and a window scheme: w in 2..130, n in 1..8.
 
     Half the cases are integer grids with integer state sizes, so that
     |a - b| = delta ties are common; any column may get delta 0 or inf.
     """
-    w = draw(st.integers(2, 32))
+    w = draw(st.integers(2, 130))
     n = draw(st.integers(1, 8))
     inc = draw(st.integers(1, w))
     t_count = draw(st.integers(w, w + 3 * inc + 8))

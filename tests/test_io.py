@@ -230,8 +230,8 @@ class TestBulkIngest:
     def test_cell_loadtxt_strips_but_float_refuses_is_a_parse_error(self):
         with pytest.raises(ParseError) as exc:
             read_csv(stdio.StringIO("t,a\n1,0.5\n2,\x1c1\n"))
-        # str.strip() removes the \x1c that float() refuses, so the message shows '1'
-        assert str(exc.value) == "<stream>: line 3, column 'a': cannot parse '1' as a number"
+        # the message keeps the \x1c that float() refuses
+        assert str(exc.value) == "<stream>: line 3, column 'a': cannot parse '\\x1c1' as a number"
         assert (exc.value.line, exc.value.column) == (3, "a")
 
     def test_blank_lines_only_are_empty_input_without_a_warning(self):

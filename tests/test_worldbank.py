@@ -240,6 +240,28 @@ class TestCacheFiles:
         assert fake_api["calls"] == 0
 
     @pytest.mark.parametrize(
+        "bad_line, column, shown",
+        [("2001,nan", "value", "nan"), ("2001,-inf", "value", "-inf"),
+         ("2001,1e999", "value", "inf"), ("nan,2.0", "year", "nan")],
+        ids=["nan_value", "minus_inf_value", "overflowing_value", "nan_year"],
+    )
+    def test_non_finite_cell_names_file_line_and_column(
+        self, fake_api, tmp_path, bad_line, column, shown
+    ):
+        path = self.write_cache(tmp_path, f"year,value\n2000,1.0\n{bad_line}\n2002,3.0\n")
+        with pytest.raises(ParseError) as exc:
+            fetch_indicator(self.REQ, tmp_path, offline=True)
+        assert str(exc.value) == f"{path}: line 3, column {column!r}: non-finite value {shown}"
+        assert (exc.value.line, exc.value.column) == (3, column)
+        assert fake_api["calls"] == 0
+
+    def test_unparsable_cell_shows_the_characters_float_refuses(self, tmp_path):
+        path = self.write_cache(tmp_path, "year,value\n2000,1.0\n2001,\x1c2 \n2002,3.0\n")
+        with pytest.raises(ParseError) as exc:
+            fetch_indicator(self.REQ, tmp_path, offline=True)
+        assert str(exc.value) == f"{path}: line 3, column 'value': cannot parse '\\x1c2' as a number"
+
+    @pytest.mark.parametrize(
         "years",
         [(2000, 2001), (2000, 2002, 2003), (2000, 2001, 2001, 2002), (2000, 2002), ()],
         ids=["truncated", "extra_year", "duplicate_year", "inner_gap", "header_only"],
