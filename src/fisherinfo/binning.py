@@ -100,9 +100,11 @@ def bin_windows(values, delta, window: int, increment: int = 1) -> np.ndarray:
         for i, d_i in enumerate(d):
             x = windows[seeding, i, s:]
             # a column spanning more than the float range overflows to inf,
-            # which compares the same way: only an infinite delta admits it
-            with np.errstate(over="ignore"):
+            # which compares the same way: only an infinite delta admits it;
+            # a nan or infinite point differs from every point by nan
+            with np.errstate(over="ignore", invalid="ignore"):
                 inside &= np.abs(x - x[:, :1]) <= d_i
+        inside[:, 0] = True  # the seed is in its own state even when nan
         hit, offset = np.nonzero(inside)
         labels[seeding[hit], s + offset] = found[seeding[hit]]
         found[seeding] += 1

