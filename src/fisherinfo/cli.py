@@ -14,6 +14,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .core import (
     DEFAULT_INCREMENT,
@@ -200,13 +202,13 @@ def _slope_index_range(series, slope_range: tuple[float, float] | None):
     if slope_range is None:
         return None
     lo, hi = slope_range
-    idx = [i for i, t in enumerate(series.time.tolist()) if lo <= t <= hi]
+    idx = np.flatnonzero((series.time >= lo) & (series.time <= hi))
     if len(idx) < 2:
         raise DegenerateRange(
             f"--slope-range {format_time_label(lo)}:{format_time_label(hi)} "
             f"selects {len(idx)} index point(s); need at least 2"
         )
-    return idx[0], idx[-1]
+    return int(idx[0]), int(idx[-1])
 
 
 def _sha256(path: Path) -> str:

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DegenerateRange,
     EmptyInput,
     MissingValue,
     NonUniformTimeAxis,
@@ -136,6 +137,24 @@ class SosConfig:
             if not (0 <= a <= b):
                 raise ValueError(f"stable_range must satisfy 0 <= first <= last, got {a}:{b}")
             object.__setattr__(self, "stable_range", (int(a), int(b)))
+
+
+def inclusive_range(
+    selection: tuple[int, int] | None, length: int, name: str
+) -> tuple[int, int]:
+    """The 0-based inclusive (first, last) pair that selection picks from length points.
+
+    None selects all of them.  Raises DegenerateRange, naming the argument,
+    the pair and the last index, unless 0 <= first < last <= length - 1: the
+    pair must lie within the series and hold at least two points.
+    """
+    first, last = (0, length - 1) if selection is None else map(int, selection)
+    if not 0 <= first < last <= length - 1:
+        raise DegenerateRange(
+            f"{name} {first}:{last} must lie within 0:{length - 1} ({length} points) "
+            "and hold at least 2"
+        )
+    return first, last
 
 
 def validate_matrix(

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .binning import StateAssignment, bin_windows, state_counts
-from .core import SosConfig, StateSize, TimeSeriesMatrix, WindowConfig
+from .core import SosConfig, StateSize, TimeSeriesMatrix, WindowConfig, inclusive_range
 from .errors import ConstantVariableWarning, DegenerateRange, SeriesTooShort
 
 # Sum of state probabilities must reproduce 1 to this absolute tolerance.
@@ -175,19 +175,7 @@ def estimate_state_size(matrix: TimeSeriesMatrix, cfg: SosConfig | None = None) 
     """
     if cfg is None:
         cfg = SosConfig()
-    t_count = matrix.n_steps
-    if cfg.stable_range is None:
-        a, b = 0, t_count - 1
-    else:
-        a, b = cfg.stable_range
-        if b > t_count - 1:
-            raise DegenerateRange(
-                f"stable_range {a}:{b} exceeds the last time index {t_count - 1}"
-            )
-    if b - a + 1 < 2:
-        raise DegenerateRange(
-            f"stable_range {a}:{b} holds {b - a + 1} point(s); need at least 2"
-        )
+    a, b = inclusive_range(cfg.stable_range, matrix.n_steps, "stable_range")
 
     deltas = []
     for i, label in enumerate(matrix.labels):

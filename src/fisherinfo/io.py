@@ -294,29 +294,23 @@ _W, _H = 720, 440
 _ML, _MR, _MT, _MB = 70, 24, 24, 56
 
 
-def emit_plot(
-    series: FiSeries,
-    destination: str | Path | IO[str],
-    y_range: tuple[float, float] = PLOT_Y_RANGE,
-) -> None:
+def emit_plot(series: FiSeries, destination: str | Path | IO[str]) -> None:
     """Write the index series as a self-contained static SVG line chart.
 
     One polyline with one vertex per point (a lone point becomes a single
     circular marker), time labels on the x axis, the index on the y axis
-    (range 0..8 by default).  Output bytes depend only on the series and
-    y_range, so identical runs produce identical files.
+    over PLOT_Y_RANGE, 0..8.  Output bytes depend only on the series, so
+    identical runs produce identical files.
 
     Raises EmptyInput when the series has no points.
     """
     if len(series) == 0:
         raise EmptyInput("cannot plot an empty index series")
-    _with_output(destination, lambda fh: fh.write(_render_svg(series, y_range)))
+    _with_output(destination, lambda fh: fh.write(_render_svg(series)))
 
 
-def _render_svg(series: FiSeries, y_range: tuple[float, float]) -> str:
-    y_lo, y_hi = float(y_range[0]), float(y_range[1])
-    if not y_hi > y_lo:
-        raise ValueError(f"invalid y_range {y_range}")
+def _render_svg(series: FiSeries) -> str:
+    y_lo, y_hi = PLOT_Y_RANGE
     steps = series.end.astype(float)
     x_lo, x_hi = float(steps[0]), float(steps[-1])
 

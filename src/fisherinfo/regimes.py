@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
+from .core import inclusive_range
 from .engine import FiSeries
-from .errors import DegenerateRange
 
 DEFAULT_SLOPE_TOL = 0.02
 
@@ -50,26 +52,29 @@ class RegimeVerdict:
     slope_window: tuple[int, int]
 
 
-def _values_and_steps(series) -> tuple[list[float], list[float]]:
+def _columns(series) -> tuple[np.ndarray, np.ndarray]:
     """Index values and their time-step positions from a series or plain sequence."""
     if isinstance(series, FiSeries):
-        return series.fi.tolist(), series.end.astype(float).tolist()
-    values = [float(v) for v in series]
-    return values, [float(i) for i in range(len(values))]
+        return series.fi, series.end
+    values = np.fromiter(map(float, series), dtype=float)
+    return values, np.arange(len(values))
 
 
-def _resolve_range(length: int, index_range: tuple[int, int] | None) -> tuple[int, int]:
-    if index_range is None:
-        a, b = 0, length - 1
-    else:
-        a, b = int(index_range[0]), int(index_range[1])
-    if not (0 <= a <= b <= length - 1):
-        raise DegenerateRange(
-            f"range {a}:{b} is not a valid inclusive index pair for {length} points"
-        )
-    if b - a + 1 < 2:
-        raise DegenerateRange(f"range {a}:{b} holds fewer than 2 points")
-    return a, b
+def _selection(series, index_range) -> tuple[list[float], list[float], tuple[int, int]]:
+    """Time steps and values of the points in the inclusive index_range, and the range."""
+    values, steps = _columns(series)
+    a, b = inclusive_range(index_range, len(values), "index_range")
+    return steps[a:b + 1].astype(float).tolist(), values[a:b + 1].tolist(), (a, b)
+
+
+def _slope_and_mean(xs: list[float], ys: list[float]) -> tuple[float, float]:
+    """Least-squares slope of ys against xs, and the mean of ys."""
+    n = len(ys)
+    xbar = math.fsum(xs) / n
+    ybar = math.fsum(ys) / n
+    num = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    den = math.fsum((x - xbar) ** 2 for x in xs)
+    return num / den, ybar
 
 
 def fi_slope(series: FiSeries | Sequence[float], index_range: tuple[int, int] | None = None) -> float:
@@ -80,18 +85,11 @@ def fi_slope(series: FiSeries | Sequence[float], index_range: tuple[int, int] | 
     consecutive position).  index_range is an optional inclusive (first,
     last) pair of point indices; default is the whole series.
 
-    Raises DegenerateRange when fewer than two points are selected.
+    Raises DegenerateRange when index_range lies outside the series or
+    holds fewer than two points.
     """
-    values, steps = _values_and_steps(series)
-    a, b = _resolve_range(len(values), index_range)
-    ys = values[a:b + 1]
-    xs = steps[a:b + 1]
-    n = len(ys)
-    xbar = math.fsum(xs) / n
-    ybar = math.fsum(ys) / n
-    num = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    den = math.fsum((x - xbar) ** 2 for x in xs)
-    return num / den
+    xs, ys, _ = _selection(series, index_range)
+    return _slope_and_mean(xs, ys)[0]
 
 
 def classify_regime(
@@ -103,15 +101,12 @@ def classify_regime(
 
     declining iff slope < -tol, increasing iff slope > +tol, stable
     otherwise; a slope equal to +-tol up to float rounding is stable.
-    tol must be positive.
+    tol must be positive.  The slope is fi_slope's, bit for bit.
     """
     if not tol > 0:
         raise ValueError(f"slope tolerance must be positive, got {tol}")
-    values, _ = _values_and_steps(series)
-    a, b = _resolve_range(len(values), index_range)
-    slope = fi_slope(series, (a, b))
-    selected = values[a:b + 1]
-    mean_fi = math.fsum(selected) / len(selected)
+    xs, ys, window = _selection(series, index_range)
+    slope, mean_fi = _slope_and_mean(xs, ys)
     bound = tol * (1.0 + _TOL_REL_SLACK)
     if slope < -bound:
         category = RegimeCategory.DECLINING
@@ -119,7 +114,7 @@ def classify_regime(
         category = RegimeCategory.INCREASING
     else:
         category = RegimeCategory.STABLE
-    return RegimeVerdict(category=category, slope=slope, mean_fi=mean_fi, slope_window=(a, b))
+    return RegimeVerdict(category=category, slope=slope, mean_fi=mean_fi, slope_window=window)
 
 
 def local_maxima(series: FiSeries | Sequence[float]) -> tuple[int, ...]:
@@ -129,9 +124,8 @@ def local_maxima(series: FiSeries | Sequence[float]) -> tuple[int, ...]:
     the trajectory and carry no weight in classification.  Endpoints are
     never peaks.
     """
-    values, _ = _values_and_steps(series)
-    return tuple(
-        i
-        for i in range(1, len(values) - 1)
-        if values[i] > values[i - 1] and values[i] > values[i + 1]
-    )
+    values, _ = _columns(series)
+    inner = values[1:-1]
+    with np.errstate(invalid="ignore"):  # nan is no peak and no warning
+        peaks = (inner > values[:-2]) & (inner > values[2:])
+    return tuple((np.flatnonzero(peaks) + 1).tolist())

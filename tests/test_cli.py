@@ -469,6 +469,21 @@ class TestExitCodes:
         assert err.startswith(f"error: {kind}: ")
         assert str(path) in err
 
+    @pytest.mark.parametrize("command, pair", [
+        ("estimate-sos", "4:4"),   # one row
+        ("compute", "0:99"),       # past the last of the 8 data rows
+    ])
+    def test_stable_range_the_data_cannot_hold_exits_1_naming_the_pair(
+        self, worked_csv_path, capsys, command, pair
+    ):
+        code, out, err = run([command, str(worked_csv_path), f"--stable-range={pair}"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: DegenerateRange: stable_range {pair} must lie within 0:7 (8 points) "
+            "and hold at least 2"
+        ]
+
     def test_internal_value_error_is_not_a_usage_error(self, worked_csv_path, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("broken invariant")

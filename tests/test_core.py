@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import fisherinfo
 from fisherinfo import (
+    DegenerateRange,
     EmptyInput,
     MissingValue,
     NonUniformTimeAxis,
@@ -17,6 +18,7 @@ from fisherinfo import (
     WindowConfig,
     validate_matrix,
 )
+from fisherinfo.core import inclusive_range
 
 from conftest import WORKED_ROWS
 
@@ -252,6 +254,33 @@ class TestSosConfig:
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError):
             SosConfig(stable_range=(-1, 2))
+
+
+class TestInclusiveRange:
+    def test_none_selects_the_whole_series(self):
+        assert inclusive_range(None, 5, "r") == (0, 4)
+
+    @pytest.mark.parametrize("pair", [(0, 4), (0, 1), (3, 4), (1, 3)])
+    def test_pairs_within_the_series_holding_two_points_pass(self, pair):
+        assert inclusive_range(pair, 5, "r") == pair
+
+    @pytest.mark.parametrize("pair", [(-1, 3), (0, 5), (3, 2), (2, 2)])
+    def test_other_pairs_raise_naming_argument_pair_and_limit(self, pair):
+        a, b = pair
+        with pytest.raises(DegenerateRange) as exc:
+            inclusive_range(pair, 5, "some_range")
+        assert str(exc.value) == (
+            f"some_range {a}:{b} must lie within 0:4 (5 points) and hold at least 2"
+        )
+
+    @pytest.mark.parametrize("length", [0, 1])
+    def test_a_series_of_fewer_than_two_points_has_no_range(self, length):
+        with pytest.raises(DegenerateRange):
+            inclusive_range(None, length, "r")
+
+    def test_numpy_integers_come_back_as_ints(self):
+        first, last = inclusive_range((np.int64(1), np.intp(3)), 5, "r")
+        assert (type(first), type(last)) == (int, int)
 
 
 def test_folded_error_names_are_aliases_and_all_18_names_stay_exported():

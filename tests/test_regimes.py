@@ -1,3 +1,5 @@
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -6,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fisherinfo import (
+    DegenerateRange,
+    FiSeries,
     RangeTooShort,
     RegimeCategory,
     SmallWindowWarning,
@@ -24,6 +28,30 @@ fi_values = st.lists(
     st.floats(min_value=0.001, max_value=8, allow_nan=False),
     min_size=2, max_size=40,
 )
+# few distinct values, so that ties and plateaus are common
+tied_values = st.sampled_from([1.0, 2.0, 3.0]) | st.floats(min_value=0.001, max_value=8)
+
+
+def as_series(values, increment=3):
+    """An FiSeries holding values, its windows increment steps apart."""
+    n = len(values)
+    return FiSeries(time=np.arange(n) * float(increment), fi=values, m_states=np.ones(n),
+                    start=np.arange(n) * increment, config=WindowConfig(),
+                    state_size=StateSize((1.0,)))
+
+
+def loop_local_maxima(values):
+    return tuple(
+        i for i in range(1, len(values) - 1)
+        if values[i] > values[i - 1] and values[i] > values[i + 1]
+    )
+
+
+@st.composite
+def values_and_range(draw):
+    values = draw(fi_values)
+    first = draw(st.integers(0, len(values) - 2))
+    return values, (first, draw(st.integers(first + 1, len(values) - 1)))
 
 
 class TestFiSlope:
@@ -113,6 +141,22 @@ class TestClassifyRegime:
         with pytest.raises(RangeTooShort):
             classify_regime([1.0], tol=0.01)
 
+    @pytest.mark.parametrize("index_range", [(2, 1), (0, 4), (1, 1), (-1, 2)])
+    def test_range_outside_the_series_or_of_one_point_rejected(self, index_range):
+        with pytest.raises(DegenerateRange, match=f"index_range {index_range[0]}:"):
+            classify_regime([1.0, 2.0, 3.0, 4.0], index_range=index_range)
+
+    @given(values_and_range(), st.booleans())
+    @settings(max_examples=200)
+    def test_slope_is_fi_slope_bit_for_bit(self, case, as_fi_series):
+        values, index_range = case
+        series = as_series(values) if as_fi_series else values
+        verdict = classify_regime(series, tol=0.05, index_range=index_range)
+        assert verdict.slope.hex() == fi_slope(series, index_range).hex()
+        a, b = index_range
+        assert verdict.mean_fi == math.fsum(values[a:b + 1]) / (b - a + 1)
+        assert verdict.slope_window == index_range
+
     def test_slope_on_the_tolerance_survives_a_shift(self):
         # the slope is 0.05 in exact decimals; in floats it lands just above
         # tol for the base series and just below it once shifted by 3
@@ -159,3 +203,22 @@ class TestLocalMaxima:
     def test_short_series(self):
         assert local_maxima([1.0]) == ()
         assert local_maxima([1.0, 2.0]) == ()
+
+    @given(st.lists(tied_values | st.floats(), max_size=12))
+    @settings(max_examples=300)
+    def test_list_matches_the_loop_definition(self, values):
+        peaks = local_maxima(values)
+        assert peaks == loop_local_maxima(values)
+        assert all(type(i) is int for i in peaks)
+
+    @given(st.lists(tied_values, max_size=12))
+    @settings(max_examples=300)
+    def test_series_matches_the_loop_definition(self, values):
+        peaks = local_maxima(as_series(values))
+        assert peaks == loop_local_maxima(values)
+        assert all(type(i) is int for i in peaks)
+
+    @pytest.mark.parametrize("length", range(4))
+    def test_every_short_sequence_of_ties_and_nan(self, length):
+        for values in itertools.product([1.0, 2.0, math.nan], repeat=length):
+            assert local_maxima(list(values)) == loop_local_maxima(values)
