@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .binning import StateAssignment, bin_windows, state_counts
+from .binning import StateAssignment, bin_windows
 from .core import SosConfig, StateSize, TimeSeriesMatrix, WindowConfig, inclusive_range
 from .errors import ConstantVariableWarning, DegenerateRange, SeriesTooShort
 
@@ -234,9 +234,10 @@ def sliding_fi(
     and scored, and the value is stamped with the window's last time
     label.  Trailing partial windows are dropped, never padded.
 
-    All windows are binned together by one sweep (binning.bin_windows).
-    The index depends on a window's state counts only, so each distinct
-    count tuple is scored once.
+    All windows are binned together by one sweep (binning.bin_windows),
+    which counts each state's points as it finds the state.  The index
+    depends on a window's state counts only, so each distinct count tuple
+    is scored once.
 
     Raises SeriesTooShort when the series holds fewer steps than one window.
     """
@@ -247,12 +248,11 @@ def sliding_fi(
     if t_count < w:
         raise SeriesTooShort(f"series has {t_count} steps but the window needs {w}")
 
-    counts = state_counts(bin_windows(matrix.values, delta, w, cfg.increment))
+    _, counts = bin_windows(matrix.values, delta, w, cfg.increment)
     if not (counts.sum(axis=1) == w).all():
         raise ValueError("states do not form a partition of the window")
     # one row of bytes per window: equal count tuples have equal bytes
-    packed = np.ascontiguousarray(counts, dtype=np.min_scalar_type(w))
-    keys = packed.view(np.dtype((np.void, packed.strides[0]))).ravel()
+    keys = counts.view(np.dtype((np.void, counts.strides[0]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     scores = [fisher_index(_distribution(row[row > 0].tolist(), w)) for row in counts[first]]
     start = np.arange(len(counts)) * cfg.increment

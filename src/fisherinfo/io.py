@@ -173,19 +173,6 @@ def _parse_cell(cell: str, name: str, line_no: int, column: str) -> float:
         ) from None
 
 
-def write_matrix_csv(matrix: TimeSeriesMatrix, destination: str | Path | IO[str],
-                     time_header: str = "t") -> None:
-    """Write a matrix back out in the input CSV dialect (round-trip identity)."""
-    def emit(fh):
-        fh.write(",".join([time_header, *matrix.labels]) + "\n")
-        for j in range(matrix.n_steps):
-            cells = [format_time_label(matrix.times[j])]
-            cells += [format_number(v) for v in matrix.values[j]]
-            fh.write(",".join(cells) + "\n")
-
-    _with_output(destination, emit)
-
-
 @dataclass(frozen=True)
 class ResultDocument:
     """A computed index series plus everything needed to replay the run.

@@ -8,22 +8,28 @@ import math
 
 
 def brute_same_state(a, b, delta):
-    """Inclusive hyper-rectangle membership, one comparison per variable."""
+    """Inclusive hyper-rectangle membership, one comparison per variable.
+
+    A nan difference (a nan point, or inf - inf) lies within no delta.
+    """
     assert len(a) == len(b) == len(delta)
     for x, y, d in zip(a, b, delta):
-        if abs(x - y) > d:
+        if not abs(x - y) <= d:
             return False
     return True
 
 
 def brute_bin(points, delta):
-    """Greedy center sweep, written as the naive nested loop."""
+    """Greedy center sweep, written as the naive nested loop.
+
+    The center always joins its own state, even when it is a nan point.
+    """
     remaining = list(range(len(points)))
     states = []
     while remaining:
         center = remaining[0]
-        members = []
-        for i in remaining:
+        members = [center]
+        for i in remaining[1:]:
             if brute_same_state(points[center], points[i], delta):
                 members.append(i)
         states.append(tuple(members))

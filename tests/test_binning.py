@@ -15,6 +15,7 @@ from fisherinfo import (
     bin_window,
     same_state,
 )
+from fisherinfo.binning import bin_windows
 
 from conftest import WORKED_ROWS
 from oracle import brute_bin
@@ -96,6 +97,11 @@ class TestSameState:
         with pytest.raises(EmptyInput):
             same_state((), (), ())
 
+    @pytest.mark.parametrize("delta", [-1.0, math.nan])
+    def test_negative_or_nan_delta_is_refused(self, delta):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            same_state((0.0,), (0.0,), (delta,))
+
 
 class TestBinWindow:
     def test_worked_example_partition(self, worked_delta):
@@ -128,6 +134,11 @@ class TestBinWindow:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             bin_window([(1.0, 2.0)], (0.5,))
+
+    @pytest.mark.parametrize("delta", [-1.0, math.nan])
+    def test_negative_or_nan_delta_is_refused(self, delta):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            bin_window([(0.0,), (0.0,), (0.0,)], [delta])
 
     def test_single_point_window(self):
         a = bin_window([(3.0, 4.0)], (0.1, 0.1))
@@ -214,6 +225,70 @@ def test_enlarging_delta_can_split_later_states():
     large = bin_window(points, (3.0, 2.5))
     assert small.n_states == 2
     assert large.n_states == 3
+
+
+@st.composite
+def kernel_cases(draw):
+    """Series of 1 to 3 windows of width 2..300 at any increment.
+
+    The widths cross the int8/int16 label and uint8/uint16 count dtypes
+    (at 129 and 256).  Points are small integer grids, where |a - b| = delta
+    ties are common, or Gaussian values with some nan and +-inf points;
+    any state size may be 0 or inf.
+    """
+    w = draw(st.one_of(st.sampled_from([2, 128, 129, 255, 256, 300]), st.integers(2, 300)))
+    inc = draw(st.integers(1, w))
+    n = draw(st.integers(1, 3))
+    rows = w + draw(st.integers(0, 2)) * inc + draw(st.integers(0, inc - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        values = rng.integers(-2, 3, size=(rows, n)).astype(float)
+    else:
+        values = rng.normal(size=(rows, n))
+        odd = rng.random((rows, n)) < 0.1
+        values[odd] = rng.choice([math.nan, math.inf, -math.inf], size=odd.sum())
+    deltas = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]),
+                           min_size=n, max_size=n))
+    return values, deltas, w, inc
+
+
+def expected_window(points, deltas):
+    """brute_bin's partition of one window as bin_windows' label and count rows."""
+    states = brute_bin(points, deltas)
+    labels = [0] * len(points)
+    for k, state in enumerate(states):
+        for j in state:
+            labels[j] = k
+    return labels, [len(state) for state in states] + [0] * (len(points) - len(states))
+
+
+class TestBinWindows:
+    """The kernel's (labels, counts) contract, window by window against brute_bin."""
+
+    def check(self, values, deltas, w, inc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels, counts = bin_windows(values, deltas, w, inc)
+        starts = range(0, len(values) - w + 1, inc)
+        assert labels.shape == counts.shape == (len(starts), w)
+        assert labels.dtype == np.min_scalar_type(-w)
+        assert counts.dtype == np.min_scalar_type(w)
+        assert labels.flags.c_contiguous and counts.flags.c_contiguous
+        for k, a in enumerate(starts):
+            want_labels, want_counts = expected_window(values[a:a + w].tolist(), deltas)
+            assert labels[k].tolist() == want_labels
+            assert counts[k].tolist() == want_counts
+
+    @given(kernel_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_every_window_matches_brute_force(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("w", [127, 128, 129, 255, 256, 257])
+    def test_dtype_edges_hold_the_largest_label_and_count(self, w):
+        distinct = np.arange(w + 1, dtype=float).reshape(-1, 1)
+        self.check(distinct, [0.0], w, 1)  # labels up to w - 1
+        self.check(distinct, [math.inf], w, 1)  # one state of w points
 
 
 class TestStateAssignment:

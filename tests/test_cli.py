@@ -434,6 +434,16 @@ class TestExitCodes:
         assert err.startswith(f"usage: fisherinfo {argv[0]} [-h]")
         assert f"\nfisherinfo {argv[0]}: error: " in err
 
+    @pytest.mark.parametrize("pair", ["nan:5", "5:nan", "nan:nan"])
+    def test_nan_slope_range_bound_exits_2_before_reading_input(self, capsys, pair):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", MISSING, f"--slope-range={pair}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fisherinfo compute [-h]")
+        assert f"error: argument --slope-range: need first <= last, got '{pair}'" in err
+        assert "No such file" not in err
+
     @pytest.mark.parametrize("command", ["compute", "estimate-sos"])
     def test_negative_stable_range_reaches_its_check_in_the_equals_form(self, capsys, command):
         with pytest.raises(SystemExit) as exc:

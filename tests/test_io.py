@@ -28,7 +28,7 @@ from fisherinfo import (
     validate_matrix,
     write_results,
 )
-from fisherinfo.io import format_time_label, write_matrix_csv
+from fisherinfo.io import format_time_label
 
 from conftest import WORKED_CSV
 
@@ -136,15 +136,6 @@ class TestReadCsv:
             f"{path}: line 6: spacing changes at step 3: 2.0 differs from 1.0"
         )
         assert exc.value.row == 3
-
-    def test_matrix_roundtrip_identity(self, worked_csv_path, tmp_path):
-        m = read_csv(worked_csv_path)
-        out = tmp_path / "again.csv"
-        write_matrix_csv(m, out, time_header="t")
-        again = read_csv(out)
-        assert again.labels == m.labels
-        assert again.times == m.times
-        assert np.array_equal(again.values, m.values)
 
 
 # Padding that float() and loadtxt both strip.
