@@ -17,6 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -147,16 +148,26 @@ def sample_sd(xs: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         raise DegenerateRange(f"need at least 2 points for a standard deviation, got {n}")
+    values = np.asarray(xs, dtype=float)
     try:
-        return _sd(xs, n)
+        return _sd(values, n)
     except OverflowError:
         # a square or a sum overflowed: redo it on values scaled exactly by a power of two
-        return _sd([x * SD_SCALE for x in xs], n) / SD_SCALE
+        return _sd(values * SD_SCALE, n) / SD_SCALE
 
 
-def _sd(xs: Sequence[float], n: int) -> float:
-    mean = math.fsum(xs) / n
-    return math.sqrt(math.fsum((x - mean) ** 2 for x in xs) / (n - 1))
+def _sd(values: np.ndarray, n: int) -> float:
+    mean = math.fsum(values.tolist()) / n
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, silently, as Python floats
+        return math.sqrt(fsum_of_squares(values - mean) / (n - 1))
+
+
+def fsum_of_squares(deviations: np.ndarray) -> float:
+    """math.fsum of the squares, each bit for bit Python's `x ** 2`, that is libm pow(|x|, 2).
+
+    numpy's x * x can differ in the last bit; a finite square that overflows is an OverflowError.
+    """
+    return math.fsum(map(math.pow, np.abs(deviations).tolist(), repeat(2.0)))
 
 
 def estimate_state_size(matrix: TimeSeriesMatrix, cfg: SosConfig | None = None) -> StateSize:
@@ -179,7 +190,7 @@ def estimate_state_size(matrix: TimeSeriesMatrix, cfg: SosConfig | None = None) 
 
     deltas = []
     for i, label in enumerate(matrix.labels):
-        sd = sample_sd(matrix.values[a:b + 1, i].tolist())
+        sd = sample_sd(matrix.values[a:b + 1, i])
         if sd == 0.0:
             warnings.warn(
                 f"variable {label!r} is constant over the stable range; "

@@ -12,8 +12,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,11 +32,6 @@ def format_time_label(t: float) -> str:
     if t.is_integer():
         return str(int(t))
     return repr(t)
-
-
-def format_number(x: float) -> str:
-    """Shortest decimal string that parses back to exactly the same float."""
-    return repr(float(x))
 
 
 def read_csv(source: str | Path | IO[str]) -> TimeSeriesMatrix:
@@ -188,91 +184,101 @@ class ResultDocument:
     peaks: tuple[int, ...] = field(default_factory=tuple)
 
     @cached_property
-    def time_labels(self) -> tuple[str, ...]:
-        """Every point's time rendered by format_time_label, once for all writers."""
-        return tuple(map(format_time_label, self.series.time.tolist()))
+    def time_labels(self) -> list[str]:
+        """Every point's time as format_time_label renders it, once for all writers."""
+        t = self.series.time
+        # an integral float below 2**53 is exactly its int64, which str renders
+        whole = (np.trunc(t) == t) & (np.abs(t) < 2.0 ** 53)
+        labels = list(map(str, np.where(whole, t, 0.0).astype(np.int64).tolist()))
+        for i in np.flatnonzero(~whole).tolist():
+            labels[i] = format_time_label(t[i])
+        return labels
+
+
+def _texts(column: np.ndarray, render) -> list[str]:
+    """render(x) for every x of column, called once per distinct bit pattern (-0.0 is not 0.0)."""
+    _, first, inverse = np.unique(column.view(f"i{column.itemsize}"),
+                                  return_index=True, return_inverse=True)
+    texts = np.array(list(map(render, column[first].tolist())), dtype=object)
+    return texts[inverse.reshape(-1)].tolist()
+
+
+def _rows(pieces: Sequence[str], *columns: Iterable[str]) -> Iterator[str]:
+    """Row i's texts are pieces[0], columns[0][i], pieces[1], ..., pieces[-1], all rows in turn.
+
+    The first row's pieces[0] is left out, so it can hold the separator between rows.
+    """
+    parts = [repeat(pieces[0])]
+    for column, piece in zip(columns, pieces[1:]):
+        parts += [column, repeat(piece)]
+    texts = chain.from_iterable(zip(*parts))
+    next(texts, None)
+    return texts
 
 
 def write_results(doc: ResultDocument, fmt: str, destination: str | Path | IO[str]) -> None:
     """Write a result document as CSV (`time,fi,m_states`) or JSON.
 
     Numbers are rendered with full round-trip precision; re-parsing a CSV
-    recovers every fi value exactly.
+    recovers every fi value exactly.  The JSON is strict: a non-finite number
+    in the metadata or verdict is written as the string of its repr ("inf").
     """
-    if fmt == "csv":
-        _with_output(destination, lambda fh: _write_csv(doc, fh))
-    elif fmt == "json":
-        _with_output(destination, lambda fh: _write_json(doc, fh))
-    else:
+    render = {"csv": _csv_text, "json": _json_text}.get(fmt)
+    if render is None:
         raise ValueError(f"unknown result format {fmt!r}, expected 'csv' or 'json'")
+    _write(destination, render(doc))
 
 
-def _write_csv(doc: ResultDocument, fh: IO[str]) -> None:
+def _csv_text(doc: ResultDocument) -> str:
     series = doc.series
-    fh.write("time,fi,m_states\n")
-    for t, fi, m in zip(doc.time_labels, series.fi.tolist(), series.m_states.tolist()):
-        fh.write(f"{t},{format_number(fi)},{m}\n")
+    rows = _rows(("", ",", ",", "\n"),
+                 doc.time_labels, _texts(series.fi, repr), _texts(series.m_states, str))
+    return "".join(chain(["time,fi,m_states\n"], rows))
 
 
-def _verdict_dict(verdict: RegimeVerdict) -> dict:
-    return {
-        "category": str(verdict.category),
-        "slope": verdict.slope,
-        "mean_fi": verdict.mean_fi,
-        "slope_window": list(verdict.slope_window),
-    }
+def _strict(value):
+    """value with every non-finite float replaced by the string of its repr."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return list(map(_strict, value))
+    return repr(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
-# One fi_points entry as json.dump(indent=2) lays it out one level deep.  A
-# time label renders like format_time_label (an int when integral, else the
-# float's repr) and every other field is an int or a float's repr, which is
-# how the json module writes numbers.
-_JSON_POINT = (
-    "  {{\n"
-    '    "time": {},\n'
-    '    "fi": {!r},\n'
-    '    "m_states": {},\n'
-    '    "window_start_index": {},\n'
-    '    "window_end_index": {}\n'
-    "  }}"
-)
-
-
-def _write_json(doc: ResultDocument, fh: IO[str]) -> None:
-    """Write the document exactly as json.dump(payload, indent=2) would.
-
-    Each fi_points entry comes from one string template; the other members
-    are rendered by json.dumps and shifted one level in.
-    """
-    series = doc.series
-    points = "[]"
-    if len(series):
-        columns = (doc.time_labels, series.fi.tolist(), series.m_states.tolist(),
-                   series.start.tolist(), series.end.tolist())
-        points = "[\n" + ",\n".join(
-            _JSON_POINT.format(t, fi, m, a, b)
-            for t, fi, m, a, b in zip(*columns)
-        ) + "\n]"
-    members = {
-        "metadata": json.dumps(doc.metadata, indent=2),
-        "fi_points": points,
-        "verdict": json.dumps(
-            _verdict_dict(doc.verdict) if doc.verdict is not None else None, indent=2
-        ),
-        "peaks": json.dumps(list(doc.peaks), indent=2),
-    }
+def _member(value) -> str:
+    """value as json.dump(indent=2) lays it out one level deep, in strict JSON."""
     # json never writes a raw newline inside a string, so shifting every line is safe
-    body = ",\n".join(f'  "{key}": ' + text.replace("\n", "\n  ") for key, text in members.items())
-    fh.write("{\n" + body + "\n}\n")
+    return json.dumps(_strict(value), indent=2, allow_nan=False).replace("\n", "\n  ")
 
 
-def _with_output(destination: str | Path | IO[str], emit) -> None:
+# One fi_points entry two levels deep, after the comma ending the one before;
+# its numbers render as the json module writes them (float repr, int str).
+_JSON_POINT = (',\n    {\n      "time": ', ',\n      "fi": ', ',\n      "m_states": ',
+               ',\n      "window_start_index": ', ',\n      "window_end_index": ', "\n    }")
+
+
+def _json_text(doc: ResultDocument) -> str:
+    """The document exactly as json.dump(payload, indent=2) would write it, in one join."""
+    series, v = doc.series, doc.verdict
+    points: Iterable[str] = ["[]"]
+    if len(series):
+        rows = _rows(_JSON_POINT, doc.time_labels, _texts(series.fi, repr),
+                     _texts(series.m_states, str), map(str, series.start.tolist()),
+                     map(str, series.end.tolist()))
+        points = chain(["[", _JSON_POINT[0][1:]], rows, ["\n  ]"])  # no comma before the first
+    verdict = None if v is None else {"category": str(v.category), "slope": v.slope,
+                                      "mean_fi": v.mean_fi, "slope_window": list(v.slope_window)}
+    return "".join(chain(['{\n  "metadata": ', _member(doc.metadata), ',\n  "fi_points": '],
+                         points, [',\n  "verdict": ', _member(verdict),
+                                  ',\n  "peaks": ', _member(list(doc.peaks)), "\n}\n"]))
+
+
+def _write(destination: str | Path | IO[str], text: str) -> None:
     if hasattr(destination, "write"):
-        emit(destination)
+        destination.write(text)
         return
-    path = Path(destination)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        emit(fh)
+    with open(destination, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 # --- plotting -------------------------------------------------------------
@@ -293,7 +299,7 @@ def emit_plot(series: FiSeries, destination: str | Path | IO[str]) -> None:
     """
     if len(series) == 0:
         raise EmptyInput("cannot plot an empty index series")
-    _with_output(destination, lambda fh: fh.write(_render_svg(series)))
+    _write(destination, _render_svg(series))
 
 
 def _render_svg(series: FiSeries) -> str:
@@ -318,69 +324,41 @@ def _render_svg(series: FiSeries) -> str:
     # axes
     x0, y0 = _ML, _H - _MB
     x1, y1 = _W - _MR, _MT
-    out.append(
-        f'<path d="M {x0} {y1} L {x0} {y0} L {x1} {y0}" fill="none" '
-        'stroke="black" stroke-width="1"/>'
-    )
+    out.append(f'<path d="M {x0} {y1} L {x0} {y0} L {x1} {y0}" fill="none" '
+               'stroke="black" stroke-width="1"/>')
 
     # y ticks: five even divisions of the range
     for k in range(5):
         v = y_lo + (y_hi - y_lo) * k / 4.0
         yy = sy(v)
-        out.append(
-            f'<line x1="{x0 - 4}" y1="{yy:.2f}" x2="{x0}" y2="{yy:.2f}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{x0 - 8}" y="{yy + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{_tick(v)}</text>'
-        )
+        out += [f'<line x1="{x0 - 4}" y1="{yy:.2f}" x2="{x0}" y2="{yy:.2f}" stroke="black"/>',
+                f'<text x="{x0 - 8}" y="{yy + 4:.2f}" text-anchor="end" '
+                f'font-family="sans-serif" font-size="12">{v:g}</text>']
 
     # x ticks: at most eight, on point positions
     n = len(series)
-    stride = max(1, (n - 1) // 7 if n > 1 else 1)
-    tick_idx = list(range(0, n, stride))
-    if tick_idx[-1] != n - 1:
-        tick_idx.append(n - 1)
-    for i in tick_idx:
+    for i in sorted({*range(0, n, max(1, (n - 1) // 7)), n - 1}):
         xx = sx(float(steps[i]))
-        out.append(
-            f'<line x1="{xx:.2f}" y1="{y0}" x2="{xx:.2f}" y2="{y0 + 4}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{xx:.2f}" y="{y0 + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{format_time_label(series.time[i])}</text>'
-        )
+        out += [f'<line x1="{xx:.2f}" y1="{y0}" x2="{xx:.2f}" y2="{y0 + 4}" stroke="black"/>',
+                f'<text x="{xx:.2f}" y="{y0 + 18}" text-anchor="middle" font-family="sans-serif" '
+                f'font-size="12">{format_time_label(series.time[i])}</text>']
 
     # axis titles
-    out.append(
-        f'<text x="{(x0 + x1) / 2:.2f}" y="{_H - 14}" text-anchor="middle" '
-        'font-family="sans-serif" font-size="13">time</text>'
-    )
-    out.append(
-        f'<text x="18" y="{(y0 + y1) / 2:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {(y0 + y1) / 2:.2f})">Fisher information</text>'
-    )
+    out += [f'<text x="{(x0 + x1) / 2:.2f}" y="{_H - 14}" text-anchor="middle" '
+            'font-family="sans-serif" font-size="13">time</text>',
+            f'<text x="18" y="{(y0 + y1) / 2:.2f}" text-anchor="middle" '
+            'font-family="sans-serif" font-size="13" '
+            f'transform="rotate(-90 18 {(y0 + y1) / 2:.2f})">Fisher information</text>']
 
     # the data: one polyline, or a single marker for a lone point
     if n == 1:
-        out.append(
-            f'<circle cx="{sx(x_lo):.2f}" cy="{sy(float(series.fi[0])):.2f}" '
-            'r="3.5" fill="#1f6fb4"/>'
-        )
+        data = [f'<circle cx="{sx(x_lo):.2f}" cy="{sy(float(series.fi[0])):.2f}" '
+                'r="3.5" fill="#1f6fb4"/>']
     else:
-        # the same float operations as the scalar form, one array at a time
-        xs, ys = sx(steps).tolist(), sy(series.fi).tolist()
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
-        out.append(
-            f'<polyline points="{coords}" fill="none" stroke="#1f6fb4" stroke-width="1.5"/>'
-        )
-
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
-
-
-def _tick(v: float) -> str:
-    if float(v).is_integer():
-        return str(int(v))
-    return f"{v:g}"
+        # the same float operations as the scalar form, one array at a time;
+        # sx gives one float when every step is the same
+        xs = map("{:.2f}".format, np.broadcast_to(sx(steps), steps.shape).tolist())
+        ys = _texts(sy(series.fi), "{:.2f}".format)
+        data = chain(['<polyline points="'], _rows((" ", ",", ""), xs, ys),
+                     ['" fill="none" stroke="#1f6fb4" stroke-width="1.5"/>'])
+    return "".join(chain(["\n".join(out), "\n"], data, ["\n</svg>\n"]))

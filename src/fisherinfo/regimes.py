@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import inclusive_range
-from .engine import FiSeries
+from .engine import FiSeries, fsum_of_squares
 
 DEFAULT_SLOPE_TOL = 0.02
 
@@ -60,21 +60,22 @@ def _columns(series) -> tuple[np.ndarray, np.ndarray]:
     return values, np.arange(len(values))
 
 
-def _selection(series, index_range) -> tuple[list[float], list[float], tuple[int, int]]:
+def _selection(series, index_range) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
     """Time steps and values of the points in the inclusive index_range, and the range."""
     values, steps = _columns(series)
     a, b = inclusive_range(index_range, len(values), "index_range")
-    return steps[a:b + 1].astype(float).tolist(), values[a:b + 1].tolist(), (a, b)
+    return steps[a:b + 1].astype(float), values[a:b + 1], (a, b)
 
 
-def _slope_and_mean(xs: list[float], ys: list[float]) -> tuple[float, float]:
+def _slope_and_mean(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     """Least-squares slope of ys against xs, and the mean of ys."""
     n = len(ys)
-    xbar = math.fsum(xs) / n
-    ybar = math.fsum(ys) / n
-    num = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    den = math.fsum((x - xbar) ** 2 for x in xs)
-    return num / den, ybar
+    xbar = math.fsum(xs.tolist()) / n
+    ybar = math.fsum(ys.tolist()) / n
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as Python floats give them
+        dx, dy = xs - xbar, ys - ybar
+        num = math.fsum((dx * dy).tolist())
+    return num / fsum_of_squares(dx), ybar
 
 
 def fi_slope(series: FiSeries | Sequence[float], index_range: tuple[int, int] | None = None) -> float:

@@ -132,6 +132,42 @@ class TestCompute:
         assert code == 1
         assert "file.csv" in err
 
+    def test_infinite_settings_write_strict_json_that_reruns(self, worked_csv_path, capsys,
+                                                             tmp_path):
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, _, _ = run(["compute", str(worked_csv_path), "--sos", "inf,inf",
+                              "--window-size", "4", "--slope-tol", "inf",
+                              "--slope-range=-inf:inf", "--out-json", str(first)], capsys)
+        assert code == 0
+        meta = json.loads(first.read_text(), parse_constant=refuse)["metadata"]
+        assert meta["state_size"] == ["inf", "inf"]
+        assert meta["slope_tol"] == "inf"
+        assert meta["slope_range_labels"] == ["-inf", "inf"]
+        # the recorded strings are valid option values: the run replays
+        lo, hi = meta["slope_range_labels"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, _, _ = run(["compute", str(worked_csv_path),
+                              "--sos", ",".join(meta["state_size"]), "--window-size", "4",
+                              "--slope-tol", meta["slope_tol"], f"--slope-range={lo}:{hi}",
+                              "--out-json", str(again)], capsys)
+        assert code == 0
+        assert again.read_bytes() == first.read_bytes()
+
+    def test_estimated_infinite_state_size_is_strict_json(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("t,a\n" + "".join(f"{t},{'-' * (t % 2)}1e308\n" for t in range(1, 10)))
+        out = tmp_path / "fi.json"
+        code, _, _ = run(["compute", str(path), "--out-json", str(out)], capsys)
+        assert code == 0
+        payload = json.loads(out.read_text(), parse_constant=lambda token: 1 / 0)
+        assert payload["metadata"]["state_size"] == ["inf"]
+
     def test_explicit_sos_wins_with_warning(self, worked_csv_path, capsys, tmp_path):
         out_json = tmp_path / "fi.json"
         with pytest.warns(SosPrecedenceWarning):

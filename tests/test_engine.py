@@ -26,7 +26,7 @@ from fisherinfo import (
     validate_matrix,
     window_count,
 )
-from fisherinfo.engine import sample_sd
+from fisherinfo.engine import SD_SCALE, sample_sd
 
 from conftest import WORKED_ROWS
 from oracle import brute_bin, brute_fi, brute_fi_from_counts, brute_sample_sd
@@ -87,6 +87,53 @@ class TestEstimateStateSize:
         m = make_matrix([7])
         with pytest.raises(DegenerateRange):
             estimate_state_size(m)
+
+
+def generator_sample_sd(xs):
+    """sample_sd as plain Python floats compute it, one square at a time."""
+    n = len(xs)
+
+    def sd(values):
+        mean = math.fsum(values) / n
+        return math.sqrt(math.fsum((x - mean) ** 2 for x in values) / (n - 1))
+
+    try:
+        return sd(xs)
+    except OverflowError:
+        return sd([x * SD_SCALE for x in xs]) / SD_SCALE
+
+
+def outcome(f, *args):
+    """f(*args).hex(), or the name of the exception it raises."""
+    try:
+        return f(*args).hex()
+    except Exception as exc:  # both paths must fail alike
+        return type(exc).__name__
+
+
+# reals from subnormal to the float limit, at every scale in between
+any_scale = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10, 10), st.integers(-320, 300)),
+    st.sampled_from([1e308, -1e308, 1.7e308, 1e200, -1e200, 5e-324, 2.2e-308]),
+)
+
+
+class TestSampleSdBitForBit:
+    @given(st.lists(any_scale, min_size=2, max_size=60))
+    @settings(max_examples=500)
+    def test_matches_the_per_element_formula(self, xs):
+        assert outcome(sample_sd, xs) == outcome(generator_sample_sd, xs)
+
+    def test_numpy_column_and_list_agree(self):
+        column = np.random.default_rng(4).normal(size=1000) * 1e150
+        assert sample_sd(column).hex() == generator_sample_sd(column.tolist()).hex()
+
+    def test_overflowing_column_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sample_sd([1.7e308, 1.7e308, -1.7e308]) == \
+                generator_sample_sd([1.7e308, 1.7e308, -1.7e308])
 
 
 class TestStateProbabilities:

@@ -18,6 +18,8 @@ from fisherinfo import (
     MissingValue,
     NonUniformTimeAxis,
     ParseError,
+    RegimeCategory,
+    RegimeVerdict,
     ResultDocument,
     StateSize,
     WindowConfig,
@@ -30,6 +32,7 @@ from fisherinfo import (
 )
 from fisherinfo.io import format_time_label
 
+import reference_writers as ref
 from conftest import WORKED_CSV
 
 
@@ -341,6 +344,82 @@ class TestWriteResults:
             write_results(doc, fmt, a)
             write_results(doc, fmt, b)
             assert a.read_bytes() == b.read_bytes()
+
+
+# fi values in (0, 8]: a few distinct ones (as real runs give) or any
+_FEW_FI = [8.0, 5e-324, 0.1 + 0.2, 4.0, 2.0 - 2 ** -52, 7.999999999999999, 1e-300]
+_ANY_FI = st.floats(min_value=5e-324, max_value=8.0)
+_TIME = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(float),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.integers(2 ** 53 - 4, 2 ** 62).map(float),
+    st.integers(-2 ** 62, -2 ** 53).map(float),
+    st.sampled_from([-0.0, 0.0, 0.5, -1.5, 1e300, -2.5e-310]),
+)
+
+
+@st.composite
+def documents(draw):
+    n = draw(st.integers(1, 60))
+    fi_value = st.sampled_from(_FEW_FI) if draw(st.booleans()) else _ANY_FI
+    window = draw(st.integers(8, 40))
+    start = sorted(draw(st.lists(st.integers(0, 10 ** 9), min_size=n, max_size=n)))
+    series = FiSeries(
+        time=draw(st.lists(_TIME, min_size=n, max_size=n)),
+        fi=draw(st.lists(fi_value, min_size=n, max_size=n)),
+        m_states=draw(st.lists(st.integers(1, 300), min_size=n, max_size=n)),
+        start=start, config=WindowConfig(window, 1), state_size=StateSize((0.5,)),
+    )
+    verdict = draw(st.none() | st.builds(
+        RegimeVerdict, st.sampled_from(list(RegimeCategory)),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(5e-324, 8.0), st.tuples(st.integers(0, 60), st.integers(0, 60)),
+    ))
+    peaks = tuple(draw(st.lists(st.integers(0, 60), max_size=10)))
+    metadata = {"window_size": window, "state_size": [0.5], "k": None}
+    return ResultDocument(metadata=metadata, series=series, verdict=verdict, peaks=peaks)
+
+
+class TestWritersMatchPerRowReference:
+    """The column writers give the same text as per-row formatting (tests/reference_writers.py)."""
+
+    @given(documents())
+    @settings(max_examples=300, deadline=None)
+    def test_csv_json_and_svg_match(self, doc):
+        for fmt, reference in (("csv", ref.csv_text), ("json", ref.json_text)):
+            out = stdio.StringIO()
+            write_results(doc, fmt, out)
+            assert out.getvalue() == reference(doc)
+        out = stdio.StringIO()
+        emit_plot(doc.series, out)
+        assert out.getvalue() == ref.svg_text(doc.series)
+
+    def test_empty_series_matches(self):
+        doc = make_doc(empty_series())
+        for fmt, reference in (("csv", ref.csv_text), ("json", ref.json_text)):
+            out = stdio.StringIO()
+            write_results(doc, fmt, out)
+            assert out.getvalue() == reference(doc)
+
+    def test_each_bit_pattern_renders_apart(self):
+        column = np.array([0.0, -0.0, 0.0, 0.004, -0.0])
+        render = mock.Mock(side_effect="{:.2f}".format)
+        assert fio._texts(column, render) == ["0.00", "-0.00", "0.00", "0.00", "-0.00"]
+        assert render.call_count == 3
+
+    def test_non_finite_metadata_is_a_string(self):
+        doc = ResultDocument(metadata={"state_size": [float("inf"), 0.5],
+                                       "slope_range_labels": (-np.inf, 2.0)},
+                             series=empty_series())
+        out = stdio.StringIO()
+        write_results(doc, "json", out)
+        payload = json.loads(out.getvalue(), parse_constant=_refuse)
+        assert payload["metadata"] == {"state_size": ["inf", 0.5],
+                                       "slope_range_labels": ["-inf", 2.0]}
+
+
+def _refuse(token):
+    raise ValueError(f"not strict JSON: {token}")
 
 
 class TestEmitPlot:

@@ -104,6 +104,31 @@ class TestFiSlope:
         assert fi_slope(both_ways) == 0.0
 
 
+def generator_slope(values, first, last):
+    """fi_slope over positions first..last as plain Python floats compute it."""
+    xs = [float(x) for x in range(first, last + 1)]
+    ys = values[first:last + 1]
+    n = len(ys)
+    xbar = math.fsum(xs) / n
+    ybar = math.fsum(ys) / n
+    num = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    den = math.fsum((x - xbar) ** 2 for x in xs)
+    return num / den
+
+
+class TestSlopeBitForBit:
+    @given(values_and_range())
+    @settings(max_examples=300)
+    def test_matches_the_per_element_formula(self, case):
+        values, (first, last) = case
+        assert fi_slope(values, (first, last)).hex() == generator_slope(values, first, last).hex()
+
+    @given(st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=40))
+    @settings(max_examples=200)
+    def test_any_reals_match(self, values):
+        assert fi_slope(values).hex() == generator_slope(values, 0, len(values) - 1).hex()
+
+
 class TestClassifyRegime:
     def test_constant_nonzero_is_stable(self):
         verdict = classify_regime([2.0, 2.0, 2.0], tol=0.01)
