@@ -29,13 +29,10 @@ from .core import (
     validate_matrix,
 )
 from .engine import (
-    FiPoint,
     FiSeries,
-    StateDistribution,
     estimate_state_size,
     fisher_index,
     sliding_fi,
-    state_probabilities,
     window_count,
 )
 from .errors import (
@@ -87,11 +84,8 @@ __all__ = [
     "same_state",
     "bin_window",
     # engine
-    "StateDistribution",
-    "FiPoint",
     "FiSeries",
     "estimate_state_size",
-    "state_probabilities",
     "fisher_index",
     "sliding_fi",
     "window_count",

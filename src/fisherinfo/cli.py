@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import sys
 import warnings
 from pathlib import Path
@@ -28,7 +29,14 @@ from .core import (
 )
 from .engine import estimate_state_size, sliding_fi
 from .errors import DegenerateRange, DimensionMismatch, FisherInfoError, SosPrecedenceWarning
-from .io import ResultDocument, emit_plot, format_time_label, read_csv, write_results
+from .io import (
+    ResultDocument,
+    emit_plot,
+    format_time_label,
+    format_time_labels,
+    read_csv,
+    write_results,
+)
 from .regimes import DEFAULT_SLOPE_TOL, classify_regime, local_maxima
 from .worldbank import (
     DEMO_COUNTRY,
@@ -254,32 +262,38 @@ def _run_pipeline(args, matrix: TimeSeriesMatrix, command: str, input_digests: d
     if args.plot:
         emit_plot(series, args.plot)
 
-    def label(i: int) -> str:  # only the labels printed are rendered
-        return format_time_label(series.time[i])
+    def labels(indices) -> list[str]:  # only the labels printed are rendered
+        return format_time_labels(series.time[list(indices)])
 
+    first, last = labels([0, -1])
     print(
-        f"{len(series)} index point(s), {label(0)}..{label(-1)}, "
+        f"{len(series)} index point(s), {first}..{last}, "
         f"window {args.window.window_size}, increment {args.window.increment}"
     )
     print("state size: " + ", ".join(f"{matrix.labels[i]}={d:g}" for i, d in enumerate(delta)))
     if len(series) <= 10:
-        for i, (fi, m) in enumerate(zip(series.fi.tolist(), series.m_states.tolist())):
-            print(f"  t={label(i)}: FI={fi!r} ({m} state(s))")
+        for t, fi, m in zip(labels(range(len(series))), series.fi.tolist(),
+                            series.m_states.tolist()):
+            print(f"  t={t}: FI={fi!r} ({m} state(s))")
     if verdict is not None:
-        a, b = verdict.slope_window
+        first, last = labels(verdict.slope_window)
         print(
             f"verdict: {verdict.category} "
-            f"(slope {verdict.slope:.6g} per step over {label(a)}..{label(b)}, "
+            f"(slope {verdict.slope:.6g} per step over {first}..{last}, "
             f"mean FI {verdict.mean_fi:.6g})"
         )
     if peaks:
-        print(f"local maxima at: {', '.join(map(label, peaks))}")
+        print(f"local maxima at: {', '.join(labels(peaks))}")
     return 0
 
 
 def _cmd_compute(args) -> int:
-    matrix = read_csv(args.input)
-    digests = {str(args.input): _sha256(Path(args.input))}
+    # one read: the digest covers exactly the bytes parsed, also from a pipe
+    data = Path(args.input).read_bytes()
+    digests = {str(args.input): hashlib.sha256(data).hexdigest()}
+    buffer = io.BytesIO(data)
+    buffer.name = str(Path(args.input))  # the name that parse errors report
+    matrix = read_csv(io.TextIOWrapper(buffer, encoding="utf-8", newline=""))
     return _run_pipeline(args, matrix, "compute", digests)
 
 

@@ -41,8 +41,8 @@ class TimeSeriesMatrix:
     ----------
     labels : tuple of str
         One name per variable column.
-    times : tuple of float
-        Strictly increasing, uniformly spaced time stamps.
+    times : numpy.ndarray, shape (T,), read-only
+        Strictly increasing, uniformly spaced float64 time stamps.
     values : numpy.ndarray, shape (T, n), read-only
         Row j holds the system point at times[j]; every cell is finite.
 
@@ -51,7 +51,7 @@ class TimeSeriesMatrix:
     """
 
     labels: tuple[str, ...]
-    times: tuple[float, ...]
+    times: np.ndarray
     values: np.ndarray
 
     @property
@@ -167,8 +167,8 @@ def validate_matrix(
     values is a sequence of rows or a 2-D array; times a sequence or a 1-D
     array.  Checks shape, finiteness of every cell, and a strictly
     increasing time axis with constant spacing (relative tolerance 1e-9).
-    Values are never altered: the output grid equals the input cell for
-    cell, and an input array is copied, not frozen.
+    Values are never altered: the output grid and time column equal the
+    input cell for cell, and an input array is copied, not frozen.
 
     Raises
     ------
@@ -178,13 +178,13 @@ def validate_matrix(
         A row of the wrong length or a non-finite cell (reported with
         row and column).
     NonUniformTimeAxis
-        Time stamps not strictly increasing, or spacing not constant.
+        Time stamps not one column, not strictly increasing, or spacing not
+        constant.
     """
     labels = tuple(str(lab) for lab in labels)
-    if isinstance(times, np.ndarray) and times.ndim == 1:
-        times = tuple(times.astype(float).tolist())
-    else:
-        times = tuple(float(t) for t in times)
+    times = np.array(times, dtype=float)
+    if times.ndim != 1:
+        raise NonUniformTimeAxis(f"time stamps must form one column, got shape {times.shape}")
     n = len(labels)
     # a 2-D array is checked as a whole; anything else row by row
     rows = values if isinstance(values, np.ndarray) and values.ndim == 2 else list(values)
@@ -217,18 +217,18 @@ def validate_matrix(
     _check_time_axis(times)
 
     grid.setflags(write=False)
+    times.setflags(write=False)
     return TimeSeriesMatrix(labels=labels, times=times, values=grid)
 
 
-def _check_time_axis(times: tuple[float, ...]) -> None:
-    stamps = np.asarray(times, dtype=float)
-    finite = np.isfinite(stamps)
+def _check_time_axis(times: np.ndarray) -> None:
+    finite = np.isfinite(times)
     if not finite.all():
         j = int(finite.argmin())
-        raise NonUniformTimeAxis(f"non-finite time stamp {times[j]!r}", row=j)
-    if len(stamps) < 2:
+        raise NonUniformTimeAxis(f"non-finite time stamp {float(times[j])!r}", row=j)
+    if len(times) < 2:
         return
-    spacings = np.diff(stamps)
+    spacings = np.diff(times)
     rising = spacings > 0
     if not rising.all():
         raise NonUniformTimeAxis(

@@ -1,84 +1,38 @@
 """Discrete Fisher information over sliding windows.
 
-The index for one window is computed from the probability of observing each
-discrete state of the system: with amplitudes q_i = sqrt(P_i) listed in
-discovery order and padded with zeros at both ends,
+The index for one window is computed from its state counts alone: state i,
+holding c_i of the window's w points in discovery order, has probability
+P_i = c_i / w and amplitude q_i = sqrt(P_i), and with the amplitudes padded
+with zeros at both ends,
 
     FI = 4 * sum_i (q_i - q_{i+1})^2
 
 which ranges over (0, 8]; a window whose points all share one state scores
 exactly 8 (maximal order), and the value shrinks as the window spreads over
-more states.  One value is computed per window and attributed to the
-window's last time step, so only past data enter each point.
+more states.  fisher_index scores one window's counts; sliding_fi scores
+every window of a series and returns the values as columns (FiSeries).  One
+value is computed per window and attributed to the window's last time step,
+so only past data enter each point.
 """
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .binning import StateAssignment, bin_windows
+from .binning import bin_windows
 from .core import SosConfig, StateSize, TimeSeriesMatrix, WindowConfig, inclusive_range
 from .errors import ConstantVariableWarning, DegenerateRange, SeriesTooShort
-
-# Sum of state probabilities must reproduce 1 to this absolute tolerance.
-PROBABILITY_ATOL = 1e-12
 
 # Upper bound of the index: a single state scores 4 * (1 + 1).
 FI_MAX = 8.0
 
 SD_SCALE = 2.0 ** -600  # takes any finite float below 2**424, where squares stay finite
-
-
-@dataclass(frozen=True)
-class StateDistribution:
-    """Probabilities and amplitudes of one window's states, discovery order.
-
-    probabilities[i] is the fraction of window points in state i (each in
-    (0, 1], summing to 1); amplitudes[i] = sqrt(probabilities[i]).
-    """
-
-    probabilities: tuple[float, ...]
-    amplitudes: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.probabilities:
-            raise ValueError("a distribution needs at least one state")
-        for p in self.probabilities:
-            if not (0.0 < p <= 1.0):
-                raise ValueError(f"state probability {p} outside (0, 1]")
-        if abs(math.fsum(self.probabilities) - 1.0) > PROBABILITY_ATOL:
-            raise ValueError("state probabilities do not sum to 1")
-
-    @property
-    def n_states(self) -> int:
-        return len(self.probabilities)
-
-
-@dataclass(frozen=True)
-class FiPoint:
-    """One index value, stamped with its window's last time label.
-
-    window_start_index / window_end_index are inclusive row indices into
-    the source matrix.
-    """
-
-    time_label: float
-    fi: float
-    m_states: int
-    window_start_index: int
-    window_end_index: int
-
-    def __post_init__(self):
-        if not 0.0 < self.fi <= FI_MAX:
-            raise ValueError(f"index value {self.fi} outside (0, {FI_MAX}]")
-        if self.m_states < 1:
-            raise ValueError(f"state count must be >= 1, got {self.m_states}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,23 +78,8 @@ class FiSeries:
     def end(self) -> np.ndarray:
         return self.start + (self.config.window_size - 1)
 
-    @cached_property
-    def points(self) -> tuple[FiPoint, ...]:
-        """The series as FiPoint records, built on first use."""
-        return tuple(map(FiPoint, self.time.tolist(), self.fi.tolist(),
-                         self.m_states.tolist(), self.start.tolist(), self.end.tolist()))
-
     def __len__(self) -> int:
         return len(self.fi)
-
-    def __iter__(self) -> Iterator[FiPoint]:
-        return iter(self.points)
-
-    def fi_values(self) -> tuple[float, ...]:
-        return tuple(self.fi.tolist())
-
-    def time_labels(self) -> tuple[float, ...]:
-        return tuple(self.time.tolist())
 
 
 def sample_sd(xs: Sequence[float]) -> float:
@@ -202,27 +141,24 @@ def estimate_state_size(matrix: TimeSeriesMatrix, cfg: SosConfig | None = None) 
     return StateSize(deltas=tuple(deltas))
 
 
-def state_probabilities(assignment: StateAssignment) -> StateDistribution:
-    """Probability of each state: its point count over the window length."""
-    return _distribution(assignment.counts, assignment.window_length)
+def fisher_index(counts: Sequence[int]) -> float:
+    """Index of one window from its state counts, in discovery order.
 
-
-def _distribution(counts: Sequence[int], window_length: int) -> StateDistribution:
-    probs = tuple(count / window_length for count in counts)
-    return StateDistribution(
-        probabilities=probs,
-        amplitudes=tuple(math.sqrt(p) for p in probs),
-    )
-
-
-def fisher_index(dist: StateDistribution) -> float:
-    """Index of one window from its state distribution.
-
-    The amplitude sequence is padded with zeros at both ends before summing
-    squared successive differences, so a lone state contributes its full
+    State i's probability is counts[i] over the window size (the sum of the
+    counts) and its amplitude the square root of that.  The amplitude
+    sequence is padded with zeros at both ends before summing squared
+    successive differences, so a lone state contributes its full
     probability twice and FI(single state) = 8 exactly.
+
+    Raises ValueError for no counts or a count that is not an integer >= 1.
     """
-    q = (0.0, *dist.amplitudes, 0.0)
+    try:
+        total = sum(map(operator.index, counts))
+    except TypeError:  # a count that is not an integer
+        total = 0
+    if total == 0 or min(counts) < 1:
+        raise ValueError(f"state counts must be integers >= 1, at least one, got {counts!r}")
+    q = (0.0, *(math.sqrt(c / total) for c in counts), 0.0)
     return 4.0 * math.fsum((q[i] - q[i + 1]) ** 2 for i in range(len(q) - 1))
 
 
@@ -241,9 +177,9 @@ def sliding_fi(
     """Compute the index for every full window of the series.
 
     Windows start at rows 0, increment, 2*increment, ... while a full
-    window still fits; each is binned, converted to a state distribution
-    and scored, and the value is stamped with the window's last time
-    label.  Trailing partial windows are dropped, never padded.
+    window still fits; each is binned, scored from its state counts, and
+    the value is stamped with the window's last time label.  Trailing
+    partial windows are dropped, never padded.
 
     All windows are binned together by one sweep (binning.bin_windows),
     which counts each state's points as it finds the state.  The index
@@ -265,10 +201,10 @@ def sliding_fi(
     # one row of bytes per window: equal count tuples have equal bytes
     keys = counts.view(np.dtype((np.void, counts.strides[0]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    scores = [fisher_index(_distribution(row[row > 0].tolist(), w)) for row in counts[first]]
+    scores = [fisher_index(row[row > 0].tolist()) for row in counts[first]]
     start = np.arange(len(counts)) * cfg.increment
     return FiSeries(
-        time=np.asarray(matrix.times)[start + (w - 1)],
+        time=matrix.times[start + (w - 1)],
         fi=np.asarray(scores)[inverse.reshape(-1)],
         m_states=np.count_nonzero(counts, axis=1),
         start=start,

@@ -34,6 +34,17 @@ def format_time_label(t: float) -> str:
     return repr(t)
 
 
+def format_time_labels(times: np.ndarray) -> list[str]:
+    """format_time_label of every stamp in times, rendered as one column."""
+    t = np.asarray(times, dtype=float)
+    # an integral float below 2**53 is exactly its int64, which str renders
+    whole = (np.trunc(t) == t) & (np.abs(t) < 2.0 ** 53)
+    labels = list(map(str, np.where(whole, t, 0.0).astype(np.int64).tolist()))
+    for i in np.flatnonzero(~whole).tolist():
+        labels[i] = format_time_label(t[i])
+    return labels
+
+
 def read_csv(source: str | Path | IO[str]) -> TimeSeriesMatrix:
     """Parse a time-series CSV and validate it into a TimeSeriesMatrix.
 
@@ -186,13 +197,7 @@ class ResultDocument:
     @cached_property
     def time_labels(self) -> list[str]:
         """Every point's time as format_time_label renders it, once for all writers."""
-        t = self.series.time
-        # an integral float below 2**53 is exactly its int64, which str renders
-        whole = (np.trunc(t) == t) & (np.abs(t) < 2.0 ** 53)
-        labels = list(map(str, np.where(whole, t, 0.0).astype(np.int64).tolist()))
-        for i in np.flatnonzero(~whole).tolist():
-            labels[i] = format_time_label(t[i])
-        return labels
+        return format_time_labels(self.series.time)
 
 
 def _texts(column: np.ndarray, render) -> list[str]:

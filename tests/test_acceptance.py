@@ -20,7 +20,6 @@ from fisherinfo import (
     demo_matrix,
     fisher_index,
     sliding_fi,
-    state_probabilities,
     validate_matrix,
     window_count,
 )
@@ -70,8 +69,8 @@ def test_golden_worked_example(worked_csv_path, tmp_path, capsys):
     assert abs(float(fi_text) - GOLDEN_FI) <= GOLDEN_FI_TOL
     assert int(m_text) == 4
 
-    dist = state_probabilities(bin_window(WORKED_ROWS, StateSize((0.5, 1.0))))
-    assert dist.probabilities == (0.375, 0.25, 0.25, 0.125)
+    assignment = bin_window(WORKED_ROWS, StateSize((0.5, 1.0)))
+    assert tuple(c / 8 for c in assignment.counts) == (0.375, 0.25, 0.25, 0.125)
 
     assert elapsed < 0.25  # this path is expected to take milliseconds
 
@@ -90,7 +89,7 @@ def test_single_state_windows_score_eight_exactly():
         points = np.vstack([base, base + offsets])
         assignment = bin_window(points, deltas)
         assert assignment.n_states == 1
-        assert fisher_index(state_probabilities(assignment)) == 8.0
+        assert fisher_index(assignment.counts) == 8.0
 
 
 @criterion(3, "uniform law")
@@ -101,7 +100,7 @@ def test_uniform_states_score_eight_over_m(m):
     assignment = bin_window(points, (1.0,))
     assert assignment.n_states == m
     assert assignment.counts == (group_size,) * m
-    fi = fisher_index(state_probabilities(assignment))
+    fi = fisher_index(assignment.counts)
     assert abs(fi - 8.0 / m) <= 1e-9
 
 
@@ -121,7 +120,7 @@ def test_brute_force_oracle_equivalence():
             deltas = rng.uniform(0.0, 6.0, size=n)
         assignment = bin_window(points, deltas)
         assert assignment.states == brute_bin(points.tolist(), deltas.tolist())
-        engine_fi = fisher_index(state_probabilities(assignment))
+        engine_fi = fisher_index(assignment.counts)
         assert abs(engine_fi - brute_fi(points.tolist(), deltas.tolist())) <= 1e-12
 
 
@@ -150,9 +149,9 @@ def test_shift_and_scale_leave_results_unchanged():
 
         series_a = sliding_fi(base, StateSize(tuple(deltas)), cfg)
         series_b = sliding_fi(other, StateSize(tuple(moved_deltas)), cfg)
-        assert [p.m_states for p in series_a.points] == [p.m_states for p in series_b.points]
-        for pa, pb in zip(series_a.points, series_b.points):
-            assert abs(pa.fi - pb.fi) <= 1e-12
+        assert series_a.m_states.tolist() == series_b.m_states.tolist()
+        for fa, fb in zip(series_a.fi.tolist(), series_b.fi.tolist()):
+            assert abs(fa - fb) <= 1e-12
 
 
 @criterion(6, "window accounting")
@@ -179,8 +178,8 @@ def test_series_length_matches_closed_form():
     )
     series = sliding_fi(m, StateSize((1.0, 1.0)), WindowConfig(8, 1))
     assert len(series) == 47
-    assert series.points[0].time_label == 1967.0
-    assert series.points[-1].time_label == 2013.0
+    assert series.time[0] == 1967.0
+    assert series.time[-1] == 2013.0
 
 
 @criterion(7, "demonstration reproduction")
@@ -189,9 +188,9 @@ def test_offline_demo_is_stable_over_1975_2013():
     matrix = demo_matrix(offline=True)
     series = sliding_fi(matrix, StateSize(PUBLISHED_SOS), WindowConfig(8, 1))
     assert len(series) == 47
-    assert series.points[0].time_label == 1967.0
+    assert series.time[0] == 1967.0
 
-    labels = series.time_labels()
+    labels = series.time.tolist()
     first = labels.index(1975.0)
     last = labels.index(2013.0)
     verdict = classify_regime(series, index_range=(first, last))

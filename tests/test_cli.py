@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -121,11 +122,24 @@ class TestCompute:
             code, out, _ = run(["compute", str(path), "--sos", "1", *outputs], capsys)
         assert code == 0
         assert "200 index point(s), 8..207" in out
-        # one column for both writers and the SVG's ticks; stdout renders only
-        # what it prints: first, last, the verdict's range and the peaks
+        # one column for both writers and the SVG's ticks; stdout renders what
+        # it prints (first, last, the verdict's range, the peaks) as columns too
         assert in_io.call_count <= 200 + 10
-        peaks = out.split("local maxima at: ")[1].split(", ")
-        assert in_cli.call_count == 4 + len(peaks)
+        assert in_cli.call_count == 0
+
+    def test_digest_is_of_the_bytes_read_from_a_pipe(self, tmp_path):
+        src = str(Path(fisherinfo.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out_json = tmp_path / "fi.json"
+        data = WORKED_CSV.encode("utf-8")
+        done = subprocess.run(
+            [sys.executable, "-m", "fisherinfo.cli", "compute", "/dev/stdin", "--sos", "0.5,1",
+             "--out-json", str(out_json)],
+            input=data, env=env, capture_output=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        digests = json.loads(out_json.read_text())["metadata"]["inputs_sha256"]
+        assert digests == {"/dev/stdin": hashlib.sha256(data).hexdigest()}
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(["compute", "/no/such/file.csv"], capsys)

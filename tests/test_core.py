@@ -28,7 +28,7 @@ class TestValidateMatrix:
         assert worked_matrix.n_steps == 8
         assert worked_matrix.n_vars == 2
         assert worked_matrix.labels == ("Y1", "Y2")
-        assert worked_matrix.times == tuple(float(t) for t in range(1, 9))
+        assert worked_matrix.times.tolist() == [float(t) for t in range(1, 9)]
 
     def test_single_cell_is_valid(self):
         m = validate_matrix(["y"], [0.0], [[42.0]])
@@ -108,12 +108,22 @@ class TestValidateMatrix:
             worked_matrix.labels, worked_matrix.times, worked_matrix.values
         )
         assert again.labels == worked_matrix.labels
-        assert again.times == worked_matrix.times
+        assert again.times.tolist() == worked_matrix.times.tolist()
         assert np.array_equal(again.values, worked_matrix.values)
 
     def test_grid_is_read_only(self, worked_matrix):
         with pytest.raises(ValueError):
             worked_matrix.values[0, 0] = 99.0
+
+    def test_time_column_is_a_read_only_copy(self):
+        times = np.array([1.0, 2.0])
+        m = validate_matrix(["a"], times, [[0.0], [1.0]])
+        times[0] = 9.0  # the caller's array stays theirs, and writable
+        assert m.times.dtype == np.float64 and m.times.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            m.times[0] = 99.0
+        with pytest.raises(NonUniformTimeAxis, match=r"one column, got shape \(2, 1\)"):
+            validate_matrix(["a"], [[1.0], [2.0]], [[0.0], [1.0]])
 
     @given(
         st.lists(
@@ -173,7 +183,7 @@ class TestValidateMatrix:
                 assert float(m.values[j, i]).hex() == cell.hex()
         # a 2-D array and a 1-D time column give the same matrix
         again = validate_matrix(m.labels, np.arange(len(rows)), np.array(rows))
-        assert again.times == m.times
+        assert again.times.tolist() == m.times.tolist()
         assert again.values.tobytes() == m.values.tobytes()
 
     def test_array_input_is_copied_and_checked_whole(self):
@@ -181,7 +191,7 @@ class TestValidateMatrix:
         m = validate_matrix(["a", "b"], np.array([1.0, 2.0]), values)
         values[0, 0] = 9.0  # the caller's array stays theirs, and writable
         assert m.values[0, 0] == 0.0
-        assert m.times == (1.0, 2.0) and type(m.times[0]) is float
+        assert m.times.tolist() == [1.0, 2.0] and m.times.dtype == np.float64
         with pytest.raises(MissingValue, match=r"^row 0 has 1 values, expected 2$") as exc:
             validate_matrix(["a", "b"], [1, 2], values[:, :1])
         assert exc.value.row == 0

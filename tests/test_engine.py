@@ -10,19 +10,16 @@ from hypothesis import strategies as st
 from fisherinfo import (
     ConstantVariableWarning,
     DegenerateRange,
-    FiPoint,
     FiSeries,
     SeriesTooShort,
     SmallWindowWarning,
     SosConfig,
-    StateDistribution,
     StateSize,
     WindowConfig,
     bin_window,
     estimate_state_size,
     fisher_index,
     sliding_fi,
-    state_probabilities,
     validate_matrix,
     window_count,
 )
@@ -138,69 +135,50 @@ class TestSampleSdBitForBit:
 
 class TestStateProbabilities:
     def test_worked_example_distribution(self, worked_delta):
-        dist = state_probabilities(bin_window(WORKED_ROWS, worked_delta))
-        assert dist.probabilities == (0.375, 0.25, 0.25, 0.125)
-        for p, q in zip(dist.probabilities, dist.amplitudes):
-            assert q == math.sqrt(p)
+        counts = bin_window(WORKED_ROWS, worked_delta).counts
+        probabilities = tuple(c / 8 for c in counts)
+        assert probabilities == (0.375, 0.25, 0.25, 0.125)
+        # the index is the amplitude formula on exactly these probabilities
+        q = (0.0, *map(math.sqrt, probabilities), 0.0)
+        assert fisher_index(counts) == 4.0 * math.fsum((a - b) ** 2 for a, b in zip(q, q[1:]))
 
     def test_single_state_is_certain(self):
-        dist = state_probabilities(bin_window([(1.0,), (1.0,)], (0.5,)))
-        assert dist.probabilities == (1.0,)
-        assert dist.amplitudes == (1.0,)
+        counts = bin_window([(1.0,), (1.0,)], (0.5,)).counts
+        assert counts == (2,)
+        assert fisher_index(counts) == 8.0
 
     def test_all_singletons_are_uniform(self):
         points = [(float(10 * i),) for i in range(5)]
-        dist = state_probabilities(bin_window(points, (1.0,)))
-        assert dist.probabilities == (0.2,) * 5
-
-
-class TestStateDistribution:
-    def test_rejects_zero_probability(self):
-        with pytest.raises(ValueError):
-            StateDistribution(probabilities=(1.0, 0.0), amplitudes=(1.0, 0.0))
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            StateDistribution(probabilities=(0.5, 0.4), amplitudes=(0.707, 0.632))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            StateDistribution(probabilities=(), amplitudes=())
-
-
-def dist_from_counts(counts):
-    w = sum(counts)
-    probs = tuple(c / w for c in counts)
-    return StateDistribution(probabilities=probs, amplitudes=tuple(math.sqrt(p) for p in probs))
+        counts = bin_window(points, (1.0,)).counts
+        assert tuple(c / 5 for c in counts) == (0.2,) * 5
 
 
 class TestFisherIndex:
     def test_worked_example_total(self, worked_delta):
-        dist = state_probabilities(bin_window(WORKED_ROWS, worked_delta))
-        assert fisher_index(dist) == pytest.approx(2.136, abs=0.005)
+        counts = bin_window(WORKED_ROWS, worked_delta).counts
+        assert fisher_index(counts) == pytest.approx(2.136, abs=0.005)
 
     def test_single_state_scores_eight_exactly(self):
-        assert fisher_index(dist_from_counts([7])) == 8.0
+        assert fisher_index([7]) == 8.0
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_uniform_distribution_scores_eight_over_m(self, m):
-        assert fisher_index(dist_from_counts([3] * m)) == pytest.approx(8 / m, abs=1e-9)
+        assert fisher_index([3] * m) == pytest.approx(8 / m, abs=1e-9)
 
     def test_matches_brute_force_formula(self):
         for counts in [(1,), (3, 2, 2, 1), (1, 1, 1), (5, 1), (2, 2, 2, 2)]:
-            got = fisher_index(dist_from_counts(counts))
+            got = fisher_index(counts)
             assert got == pytest.approx(brute_fi_from_counts(counts, sum(counts)), abs=1e-12)
 
     @given(st.lists(st.integers(1, 50), min_size=1, max_size=30))
     @settings(max_examples=300)
     def test_bounds_and_identity(self, counts):
-        dist = dist_from_counts(counts)
-        fi = fisher_index(dist)
+        fi = fisher_index(counts)
         # range: positive, at most 8, and 8 only for a single state
         assert 0.0 < fi <= 8.0
         assert (fi == 8.0) == (len(counts) == 1)
         # algebraic identity: FI = 8 - 8 * sum of adjacent amplitude products
-        q = dist.amplitudes
+        q = [math.sqrt(c / sum(counts)) for c in counts]
         adjacent = math.fsum(q[i] * q[i + 1] for i in range(len(q) - 1))
         assert fi == pytest.approx(8.0 - 8.0 * adjacent, abs=1e-12)
 
@@ -210,7 +188,7 @@ class TestFisherIndex:
         Exhaustive check over every composition of windows up to 12 points:
         the uniform value 8/m is NOT a lower bound for fixed m.
         """
-        assert fisher_index(dist_from_counts([1, 2, 1])) < 8 / 3 - 0.3
+        assert fisher_index([1, 2, 1]) < 8 / 3 - 0.3
         worst = {}
         for w in range(2, 13):
             for m in range(2, w + 1):
@@ -223,27 +201,10 @@ class TestFisherIndex:
         assert worst[3] < 8 / 3
         assert all(fi > 0 for fi in worst.values())
 
-
-class TestFiPoint:
-    def test_rejects_out_of_range_values(self):
-        from fisherinfo import FiPoint
-
+    @pytest.mark.parametrize("counts", [(), (0,), (3, -1), (1.5,)])
+    def test_rejects_counts_that_are_not_positive_integers(self, counts):
         with pytest.raises(ValueError):
-            FiPoint(time_label=1.0, fi=0.0, m_states=1,
-                    window_start_index=0, window_end_index=7)
-        with pytest.raises(ValueError):
-            FiPoint(time_label=1.0, fi=8.5, m_states=1,
-                    window_start_index=0, window_end_index=7)
-        with pytest.raises(ValueError):
-            FiPoint(time_label=1.0, fi=4.0, m_states=0,
-                    window_start_index=0, window_end_index=7)
-
-    def test_boundary_value_eight_allowed(self):
-        from fisherinfo import FiPoint
-
-        point = FiPoint(time_label=1.0, fi=8.0, m_states=1,
-                        window_start_index=0, window_end_index=7)
-        assert point.fi == 8.0
+            fisher_index(counts)
 
 
 class TestFiSeries:
@@ -254,12 +215,11 @@ class TestFiSeries:
 
     def test_columns_and_derived_fields(self):
         series = self.make()
+        assert len(series) == 2
         assert series.end.tolist() == [7, 10]
-        assert series.fi_values() == (8.0, 2.5)
-        assert series.time_labels() == (1.0, 2.0)
-        assert series.points[1] == FiPoint(time_label=2.0, fi=2.5, m_states=3,
-                                           window_start_index=3, window_end_index=10)
-        assert list(series) == list(series.points)
+        assert series.fi.tolist() == [8.0, 2.5]
+        assert series.time.tolist() == [1.0, 2.0]
+        assert series.m_states.tolist() == [1, 3]
 
     def test_columns_are_read_only_copies(self):
         fi = np.array([8.0, 2.5])
@@ -285,12 +245,11 @@ class TestSlidingFi:
     def test_single_window_series(self, worked_matrix, worked_delta):
         series = sliding_fi(worked_matrix, worked_delta, WindowConfig(8, 1))
         assert len(series) == 1
-        point = series.points[0]
-        assert point.time_label == 8.0
-        assert point.m_states == 4
-        assert point.window_start_index == 0
-        assert point.window_end_index == 7
-        assert point.fi == pytest.approx(2.136, abs=0.005)
+        assert series.time[0] == 8.0
+        assert series.m_states[0] == 4
+        assert series.start[0] == 0
+        assert series.end[0] == 7
+        assert series.fi[0] == pytest.approx(2.136, abs=0.005)
 
     def test_54_steps_window8_inc1_gives_47_points(self):
         rng = np.random.default_rng(7)
@@ -299,16 +258,14 @@ class TestSlidingFi:
         )
         series = sliding_fi(m, StateSize((0.5, 0.5)), WindowConfig(8, 1))
         assert len(series) == 47
-        assert series.points[0].time_label == 1967.0
-        assert series.points[-1].time_label == 2013.0
+        assert series.time[0] == 1967.0
+        assert series.time[-1] == 2013.0
 
     def test_increment_two_skips_starts(self):
         m = make_matrix(list(range(10)))
         series = sliding_fi(m, StateSize((1.0,)), WindowConfig(8, 2))
         assert len(series) == 2
-        assert [(p.window_start_index, p.window_end_index) for p in series.points] == [
-            (0, 7), (2, 9),
-        ]
+        assert list(zip(series.start.tolist(), series.end.tolist())) == [(0, 7), (2, 9)]
 
     def test_too_short_series_rejected(self, worked_delta):
         m = make_matrix([[1.0, 2.0]] * 5)
@@ -321,10 +278,9 @@ class TestSlidingFi:
             warnings.simplefilter("ignore", SmallWindowWarning)
             cfg = WindowConfig(4, 3)
         series = sliding_fi(m, StateSize((0.5,)), cfg)
-        labels = [p.time_label for p in series.points]
+        labels = series.time.tolist()
         assert labels == sorted(labels)
-        for p in series.points:
-            assert p.time_label == float(100 + p.window_end_index)
+        assert labels == [float(100 + end) for end in series.end.tolist()]
 
     @given(
         st.integers(2, 40),
@@ -362,7 +318,7 @@ class TestOracleEquivalence:
                 deltas = rng.uniform(0, 5, size=n)
             assignment = bin_window(points, deltas)
             assert assignment.states == brute_bin(points.tolist(), deltas.tolist())
-            fi = fisher_index(state_probabilities(assignment))
+            fi = fisher_index(assignment.counts)
             assert fi == pytest.approx(brute_fi(points.tolist(), deltas.tolist()), abs=1e-12)
 
 
@@ -402,9 +358,22 @@ class TestSlidingOracle:
         starts = list(range(0, len(values) - w + 1, inc))
         assert series.start.tolist() == starts
         assert series.end.tolist() == [a + w - 1 for a in starts]
-        assert series.time.tolist() == [m.times[a + w - 1] for a in starts]
+        assert series.time.tolist() == [m.times.tolist()[a + w - 1] for a in starts]
         for k, a in enumerate(starts):
             states = brute_bin(values[a:a + w], deltas)
             assert series.m_states[k] == len(states)
             expected = brute_fi_from_counts([len(state) for state in states], w)
             assert series.fi[k] == pytest.approx(expected, abs=1e-12)
+
+    @given(sliding_cases())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_batch_scores_equal_one_window_scores_exactly(self, case):
+        values, deltas, w, inc = case
+        m = make_matrix(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SmallWindowWarning)
+            cfg = WindowConfig(w, inc)
+        series = sliding_fi(m, StateSize(deltas), cfg)
+        for k, a in enumerate(series.start.tolist()):
+            window = values[a:a + w]
+            assert series.fi[k] == fisher_index(bin_window(window, deltas).counts)

@@ -89,7 +89,7 @@ class TestReadCsv:
 
     def test_padded_cells_parse_and_errors_show_the_stripped_cell(self):
         m = read_csv(stdio.StringIO("t,Y1\n 1 ,\t0.5 \n2, 0.25\n"))
-        assert m.times == (1.0, 2.0)
+        assert m.times.tolist() == [1.0, 2.0]
         assert m.values[:, 0].tolist() == [0.5, 0.25]
         with pytest.raises(ParseError, match=r"cannot parse 'abc' as a number"):
             read_csv(stdio.StringIO("t,Y1\n1,  abc \n"))
@@ -114,7 +114,7 @@ class TestReadCsv:
 
     def test_full_width_row_of_blank_cells_skipped(self):
         m = read_csv(stdio.StringIO("t,Y1,Y2\n1,0.5,1\n , ,\t\n2,0.25,2\n"))
-        assert m.times == (1.0, 2.0)
+        assert m.times.tolist() == [1.0, 2.0]
         assert m.values.tolist() == [[0.5, 1.0], [0.25, 2.0]]
 
     def test_first_bad_cell_of_a_row_is_reported(self):
@@ -218,7 +218,7 @@ class TestBulkIngest:
         with mock.patch.object(fio, "_read_cells", side_effect=fio._read_cells) as fallback:
             m = read_csv(stdio.StringIO(text))
         assert fallback.called
-        assert m.times == (1.0, 2.0)
+        assert m.times.tolist() == [1.0, 2.0]
         assert m.values[:, 0].tolist() == [first, 0.25]
 
     def test_cell_loadtxt_strips_but_float_refuses_is_a_parse_error(self):
@@ -267,11 +267,12 @@ class TestWriteResults:
         write_results(make_doc(demo_series), "csv", out)
         lines = out.read_text().splitlines()[1:]
         assert len(lines) == len(demo_series)
-        for line, point in zip(lines, demo_series.points):
+        for line, t, fi, m in zip(lines, demo_series.time.tolist(), demo_series.fi.tolist(),
+                                  demo_series.m_states.tolist()):
             time_text, fi_text, m_text = line.split(",")
-            assert float(fi_text) == point.fi
-            assert float(time_text) == point.time_label
-            assert int(m_text) == point.m_states
+            assert float(fi_text) == fi
+            assert float(time_text) == t
+            assert int(m_text) == m
 
     def test_json_document_structure(self, demo_series, tmp_path):
         verdict = classify_regime(demo_series)
@@ -285,7 +286,7 @@ class TestWriteResults:
         assert payload["metadata"] == {"window_size": 8}
         assert len(payload["fi_points"]) == len(demo_series)
         assert payload["fi_points"][0]["time"] == 1967
-        assert payload["fi_points"][0]["fi"] == demo_series.points[0].fi
+        assert payload["fi_points"][0]["fi"] == demo_series.fi[0]
         assert payload["verdict"]["category"] in {"stable", "declining", "increasing"}
         assert payload["peaks"] == [1, 5]
 
@@ -304,10 +305,10 @@ class TestWriteResults:
         payload = {
             "metadata": metadata,
             "fi_points": [
-                {"time": int(t) if t.is_integer() else t, "fi": p.fi, "m_states": p.m_states,
-                 "window_start_index": p.window_start_index,
-                 "window_end_index": p.window_end_index}
-                for t, p in zip(times, series.points)
+                {"time": int(t) if t.is_integer() else t, "fi": fi, "m_states": m,
+                 "window_start_index": a, "window_end_index": b}
+                for t, fi, m, a, b in zip(times, series.fi.tolist(), series.m_states.tolist(),
+                                          series.start.tolist(), series.end.tolist())
             ],
             "verdict": None,
             "peaks": list(peaks),

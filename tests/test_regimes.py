@@ -94,7 +94,7 @@ class TestFiSlope:
             warnings.simplefilter("ignore", SmallWindowWarning)
             cfg = WindowConfig(window_size=4, increment=2)
         series = sliding_fi(m, StateSize((10.0,)), cfg)
-        per_point = fi_slope(series.fi_values())
+        per_point = fi_slope(series.fi.tolist())
         per_step = fi_slope(series)
         assert per_step == pytest.approx(per_point / 2, rel=1e-9, abs=1e-12)
 

@@ -287,7 +287,7 @@ class TestAssembleDemoMatrix:
         m = assemble_demo_matrix([a, b], labels=("x", "y"))
         assert m.n_steps == 3
         assert m.n_vars == 2
-        assert m.times == (2000.0, 2001.0, 2002.0)
+        assert m.times.tolist() == [2000.0, 2001.0, 2002.0]
         assert m.values[1, 1] == 20.0
 
     def test_single_series(self):
