@@ -9,11 +9,13 @@ before any file is read.  A traceback is a bug.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import io
 import sys
 import warnings
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -359,5 +361,19 @@ def main(argv: list[str] | None = None) -> int:
         warnings.formatwarning = default_format
 
 
+def run() -> NoReturn:
+    """Process entry of the ``fisherinfo`` command and ``python -m fisherinfo.cli``.
+
+    Exits with main's status after freezing every live object into the
+    collector's permanent generation, so the collection CPython runs while
+    finalizing skips the heap the OS is about to reclaim.  Streams are still
+    flushed and atexit handlers still run.  A usage error, --help, --version
+    or an uncaught exception leaves main before the freeze.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import fisherinfo
 from fisherinfo import StateSize, validate_matrix
 
 # Filled by tests/test_acceptance.py; printed after the run so the
@@ -23,6 +25,21 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for (number, name), status in sorted(merged.items()):
         terminalreporter.write_line(f"criterion {number} ({name}): {status}")
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a child interpreter that imports this package's source.
+
+    PYTHONUNBUFFERED is dropped, so the child's stdout on a pipe is block
+    buffered as it is for a user and a buffer lost at exit shows;
+    FISHERINFO_CACHE_DIR is dropped, so the child reads the default cache.
+    """
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("PYTHONUNBUFFERED", "FISHERINFO_CACHE_DIR")}
+    src = str(Path(fisherinfo.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
 
 # Worked two-variable example: eight steps, state sizes (0.5, 1).
 WORKED_ROWS = [

@@ -1,6 +1,6 @@
+import gc
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import warnings
@@ -9,14 +9,13 @@ from unittest import mock
 
 import pytest
 
-import fisherinfo
 import fisherinfo.cli as cli
 import fisherinfo.io as fio
 import fisherinfo.worldbank as wb
 from fisherinfo import SosPrecedenceWarning
 from fisherinfo.cli import main
 
-from conftest import WORKED_CSV
+from conftest import WORKED_CSV, child_env
 
 PUBLISHED_SOS = "985.82,10307105.62"
 
@@ -128,8 +127,7 @@ class TestCompute:
         assert in_cli.call_count == 0
 
     def test_digest_is_of_the_bytes_read_from_a_pipe(self, tmp_path):
-        src = str(Path(fisherinfo.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env = child_env()
         out_json = tmp_path / "fi.json"
         data = WORKED_CSV.encode("utf-8")
         done = subprocess.run(
@@ -226,8 +224,7 @@ class TestCompute:
 
 class TestWarnings:
     def test_each_warning_prints_as_one_line(self, tmp_path):
-        src = str(Path(fisherinfo.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env = child_env()
         env.pop("PYTHONWARNINGS", None)
         path = tmp_path / "const.csv"
         path.write_text("t,a,b\n" + "".join(f"{t},{t % 3},5\n" for t in range(12)))
@@ -552,18 +549,48 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="broken invariant"):
             main(["compute", str(worked_csv_path), "--sos", "0.5,1"])
 
-    def test_process_statuses_and_no_traceback(self, tmp_path):
-        src = str(Path(fisherinfo.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    def test_process_statuses_and_no_traceback(self, worked_csv_path, tmp_path):
+        # runs the __main__ block as -m does, with an atexit handler that runs
+        # after the process entry has exited; a usage error leaves before the freeze
+        code = ("import atexit, gc, runpy; "
+                "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0)); "
+                "runpy.run_module('fisherinfo.cli', run_name='__main__')")
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"t,a\n1,\xff\n")
-        for argv, status in ((["compute", MISSING, "--window-size", "1"], 2),
+        for argv, status in ((["compute", str(worked_csv_path), "--sos", "0.5,1"], 0),
+                             (["compute", MISSING, "--window-size", "1"], 2),
                              (["compute", str(bad)], 1)):
-            done = subprocess.run([sys.executable, "-m", "fisherinfo.cli", *argv],
-                                  env=env, capture_output=True, text=True, timeout=60)
+            done = subprocess.run([sys.executable, "-c", code, *argv],
+                                  env=child_env(), capture_output=True, text=True, timeout=60)
             assert done.returncode == status, done.stderr
-            assert "error: " in done.stderr
+            assert ("error: " in done.stderr) == (status != 0)
             assert "Traceback" not in done.stderr
+            assert done.stdout.splitlines()[-1] == f"frozen: {status != 2}"
+
+
+class TestProcessEntry:
+    """run() is the process entry; it alone touches the garbage collector."""
+
+    @pytest.mark.parametrize("status", [0, 1, 2])
+    def test_main_leaves_the_collector_alone(self, worked_csv_path, capsys, status):
+        argv = {0: ["compute", str(worked_csv_path), "--sos", "0.5,1"],
+                1: ["compute", MISSING],
+                2: ["compute", MISSING, "--window-size", "1"]}[status]
+        before = gc.isenabled(), gc.get_freeze_count()
+        if status == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        else:
+            assert main(argv) == status
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_console_script_is_run(self):
+        # read as text: Python 3.10 has no tomllib
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        entries = [line.replace(" ", "") for line in section.splitlines() if line.strip()]
+        assert entries == ['fisherinfo="fisherinfo.cli:run"']
 
 
 class TestDeterminism:

@@ -7,10 +7,13 @@ fails here.  The compute cases read the input CSVs committed next to them;
 the demo case reads the shipped World Bank fixture.
 """
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from fisherinfo.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -26,21 +29,47 @@ CASES = {
 }
 
 
+def _argv_in_copy(case: str, directory: Path) -> list[str]:
+    """The case's arguments, run from `directory`, which gets copies of the inputs.
+
+    compute records the input path as given, so every case runs beside its
+    own copy of the inputs and writes out.csv, out.json and out.svg there.
+    """
+    for name in ("worked.csv", "mixed.csv"):
+        shutil.copy(GOLDEN / name, directory / name)
+    argv = list(CASES[case])
+    for option, suffix in OUTPUTS:
+        argv += [option, f"out.{suffix}"]
+    return argv
+
+
+def _assert_files_match(case: str, directory: Path) -> None:
+    for _, suffix in OUTPUTS:
+        assert (directory / f"out.{suffix}").read_bytes() == (
+            GOLDEN / f"{case}.{suffix}"
+        ).read_bytes(), f"{case}.{suffix} differs from the golden file"
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden_bytes(case, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("FISHERINFO_CACHE_DIR", raising=False)
-    # compute records the input path as given, so run from a copy of the inputs
-    for name in ("worked.csv", "mixed.csv"):
-        shutil.copy(GOLDEN / name, tmp_path / name)
+    argv = _argv_in_copy(case, tmp_path)
     monkeypatch.chdir(tmp_path)
-    argv = list(CASES[case])
-    for option, suffix in OUTPUTS:
-        argv += [option, f"out.{suffix}"]
 
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
-    for _, suffix in OUTPUTS:
-        assert (tmp_path / f"out.{suffix}").read_bytes() == (
-            GOLDEN / f"{case}.{suffix}"
-        ).read_bytes(), f"{case}.{suffix} differs from the golden file"
+    _assert_files_match(case, tmp_path)
+
+
+@pytest.mark.parametrize("case", ["demo", "worked_sos"])
+def test_process_exit_keeps_buffered_output(case, tmp_path):
+    """`python -m fisherinfo.cli` with stdout block-buffered on a pipe loses no byte at exit."""
+    argv = _argv_in_copy(case, tmp_path)
+
+    done = subprocess.run([sys.executable, "-m", "fisherinfo.cli", *argv], cwd=tmp_path,
+                          env=child_env(), capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == b""
+    assert done.stdout == (GOLDEN / f"{case}.out").read_bytes()
+    _assert_files_match(case, tmp_path)

@@ -1,16 +1,13 @@
 import http.client
 import io
 import json
-import os
 import subprocess
 import sys
 import urllib.error
 import urllib.request
-from pathlib import Path
 
 import pytest
 
-import fisherinfo
 import fisherinfo.worldbank as wb
 from fisherinfo import (
     GapInSeries,
@@ -23,6 +20,8 @@ from fisherinfo import (
     demo_matrix,
     fetch_indicator,
 )
+
+from conftest import child_env
 
 
 def wb_payload(records):
@@ -203,15 +202,13 @@ class TestGetJson:
 
 
 def test_cli_import_loads_no_http_client():
-    src = str(Path(fisherinfo.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import sys, fisherinfo.cli; "
         "print([m for m in ('requests', 'urllib.request', 'http.client', 'ssl') "
         "if m in sys.modules])"
     )
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
 
