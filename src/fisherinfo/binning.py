@@ -92,26 +92,26 @@ def bin_windows(values, delta, window: int, increment: int = 1) -> tuple[np.ndar
     labels = np.full((len(windows), window), -1, dtype=np.min_scalar_type(-window))
     counts = np.zeros(labels.shape, dtype=np.min_scalar_type(window))
     found = np.zeros(len(windows), dtype=np.intp)  # states discovered so far, per window
-    for s in range(window):
-        seeding = np.flatnonzero(labels[:, s] < 0)
-        if seeding.size == 0:
-            continue
-        block = labels[seeding, s:]
-        inside = block < 0
-        for i, d_i in enumerate(d):
-            x = windows[seeding, i, s:]  # a gathered copy: |x - seed| is taken in place
-            # a column spanning more than the float range overflows to inf,
-            # which compares the same way: only an infinite delta admits it;
-            # a nan or infinite point differs from every point by nan
-            with np.errstate(over="ignore", invalid="ignore"):
+    # a column spanning more than the float range overflows to inf, which
+    # compares the same way: only an infinite delta admits it; a nan or
+    # infinite point differs from every point by nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(window):
+            seeding = np.flatnonzero(labels[:, s] < 0)
+            if seeding.size == 0:
+                continue
+            block = labels[seeding, s:]
+            inside = block < 0
+            for i, d_i in enumerate(d):
+                x = windows[seeding, i, s:]  # a gathered copy: |x - seed| is taken in place
                 x -= x[:, :1].copy()
                 inside &= np.abs(x, out=x) <= d_i
-            del x  # before the next variable's copy is gathered
-        inside[:, 0] = True  # the seed is in its own state even when nan
-        state = found[seeding].astype(labels.dtype)
-        labels[seeding, s:] = np.where(inside, state[:, None], block)
-        counts[seeding, state] = inside.sum(axis=1)
-        found[seeding] += 1
+                del x  # before the next variable's copy is gathered
+            inside[:, 0] = True  # the seed is in its own state even when nan
+            state = found[seeding].astype(labels.dtype)
+            labels[seeding, s:] = np.where(inside, state[:, None], block)
+            counts[seeding, state] = inside.sum(axis=1)
+            found[seeding] += 1
     return labels, counts
 
 

@@ -221,14 +221,6 @@ def _slope_index_range(series, slope_range: tuple[float, float] | None):
     return int(idx[0]), int(idx[-1])
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _run_pipeline(args, matrix: TimeSeriesMatrix, command: str, input_digests: dict) -> int:
     delta, sos_meta = _resolve_state_size(args, matrix)
     series = sliding_fi(matrix, delta, args.window)
@@ -314,7 +306,7 @@ def _cmd_demo(args) -> int:
     digests = {}
     for indicator in (GDP_PER_CAPITA, TOTAL_POPULATION):
         path = cache_path(IndicatorRequest(DEMO_COUNTRY, indicator, DEMO_YEARS), directory)
-        digests[path.name] = _sha256(path)
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     return _run_pipeline(args, matrix, "demo", digests)
 
 

@@ -1,4 +1,7 @@
+import importlib
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -20,7 +23,7 @@ from fisherinfo import (
 )
 from fisherinfo.core import inclusive_range
 
-from conftest import WORKED_ROWS
+from conftest import WORKED_ROWS, child_env
 
 
 class TestValidateMatrix:
@@ -306,3 +309,69 @@ def test_folded_error_names_are_aliases_and_all_18_names_stay_exported():
     for name in names:
         assert name in fisherinfo.__all__
         assert issubclass(getattr(fisherinfo, name), (fisherinfo.FisherInfoError, UserWarning))
+
+
+# fisherinfo.__all__ as the package's eager __init__ listed it, order included
+EXPORTED_NAMES = [
+    "__version__",
+    "TimeSeriesMatrix", "StateSize", "WindowConfig", "SosConfig", "validate_matrix",
+    "StateAssignment", "same_state", "bin_window",
+    "FiSeries", "estimate_state_size", "fisher_index", "sliding_fi", "window_count",
+    "RegimeCategory", "RegimeVerdict", "fi_slope", "classify_regime", "local_maxima",
+    "DEFAULT_SLOPE_TOL",
+    "ResultDocument", "read_csv", "write_results", "emit_plot",
+    "IndicatorRequest", "fetch_indicator", "assemble_demo_matrix", "demo_matrix",
+    "FisherInfoError", "EmptyInput", "MissingValue", "NonUniformTimeAxis", "DimensionMismatch",
+    "EmptyWindow", "DegenerateRange", "SeriesTooShort", "RangeTooShort", "ParseError",
+    "EmptySeries", "NetworkError", "NotFound", "GapInSeries", "RangeMismatch",
+    "SmallWindowWarning", "ConstantVariableWarning", "SosPrecedenceWarning",
+]
+SUBMODULES = ("binning", "core", "engine", "errors", "io", "regimes", "worldbank")
+
+
+class TestNamespace:
+    def test_all_keeps_every_name_in_order(self):
+        assert fisherinfo.__all__ == EXPORTED_NAMES
+
+    def test_each_name_is_its_defining_modules_object(self):
+        for name in EXPORTED_NAMES[1:]:
+            value = getattr(fisherinfo, name)
+            home = getattr(value, "__module__", "fisherinfo.regimes")  # DEFAULT_SLOPE_TOL
+            assert home.startswith("fisherinfo."), name
+            assert getattr(importlib.import_module(home), name) is value, name
+
+    def test_star_import_binds_exactly_the_exported_names(self):
+        scope = {}
+        exec("from fisherinfo import *", scope)
+        del scope["__builtins__"]
+        assert sorted(scope) == sorted(EXPORTED_NAMES)
+        assert all(scope[name] is getattr(fisherinfo, name) for name in EXPORTED_NAMES)
+
+    def test_unknown_name_raises_attribute_error_naming_it(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            fisherinfo.no_such_name
+
+    def test_dir_lists_every_exported_name(self):
+        assert set(EXPORTED_NAMES) <= set(dir(fisherinfo))
+
+    def test_bare_import_loads_no_submodule_and_no_numpy(self):
+        probe = (
+            "import sys, fisherinfo; "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('fisherinfo.')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
+
+    def test_submodules_resolve_after_a_bare_import(self):
+        probe = (
+            "import fisherinfo; "
+            f"print([getattr(fisherinfo, m).__name__ for m in {SUBMODULES!r}])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == repr([f"fisherinfo.{m}" for m in SUBMODULES])
