@@ -17,6 +17,8 @@ import numpy as np
 from .core import StateSize
 from .errors import DimensionMismatch, EmptyInput
 
+BLOCK_VALUES = 2**20  # values of one variable per block of the sweep: 8 MiB of float64
+
 
 @dataclass(frozen=True)
 class StateAssignment:
@@ -57,27 +59,11 @@ def same_state(a: Sequence[float], b: Sequence[float], delta) -> bool:
     return bin_window([a, b], delta).n_states == 1
 
 
-def bin_windows(values, delta, window: int, increment: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Bin every window of a series at once with the greedy center sweep.
+def _sweep(values, delta, window: int, increment: int):
+    """Yield (s, seeding, members) for each state the greedy sweep finds.
 
-    values is a (T, n) array of points (a 1-D array is one variable);
-    windows start at rows 0, increment, 2*increment, ... while a full window
-    fits, and are read through a strided view of values, not copied.
-    Returns (labels, counts), two C-contiguous (windows, window) arrays.
-    labels[k, j] is the discovery-order index of the state that point j of
-    window k joined; counts[k, i] is the number of points in window k's
-    i-th state, padded with zeros on the right, in the smallest unsigned
-    type that holds window.
-
-    The sweep visits seed positions s = 0..window-1 for all windows
-    together.  In every window whose point s is still unbinned, that point
-    seeds the window's next state, each still-unbinned point s..window-1
-    within delta of it joins, and the state's size is recorded as it is
-    found.  Temporaries hold (windows, window - s) values, one variable at
-    a time.
-
-    Raises ValueError for a negative or nan delta, and DimensionMismatch
-    when the points and delta disagree on the number of variables.
+    Point s seeds a state in each window of seeding, and members[j, l] is
+    True when point s + l of window seeding[j] joins it.
     """
     pts = np.asarray(values, dtype=float)
     if pts.ndim == 1:
@@ -89,30 +75,51 @@ def bin_windows(values, delta, window: int, increment: int = 1) -> tuple[np.ndar
         )
 
     windows = np.lib.stride_tricks.sliding_window_view(pts, window, axis=0)[::increment]
-    labels = np.full((len(windows), window), -1, dtype=np.min_scalar_type(-window))
-    counts = np.zeros(labels.shape, dtype=np.min_scalar_type(window))
-    found = np.zeros(len(windows), dtype=np.intp)  # states discovered so far, per window
+    step = max(1, BLOCK_VALUES // window)
     # a column spanning more than the float range overflows to inf, which
     # compares the same way: only an infinite delta admits it; a nan or
     # infinite point differs from every point by nan
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(window):
-            seeding = np.flatnonzero(labels[:, s] < 0)
-            if seeding.size == 0:
-                continue
-            block = labels[seeding, s:]
-            inside = block < 0
-            for i, d_i in enumerate(d):
-                x = windows[seeding, i, s:]  # a gathered copy: |x - seed| is taken in place
-                x -= x[:, :1].copy()
-                inside &= np.abs(x, out=x) <= d_i
-                del x  # before the next variable's copy is gathered
-            inside[:, 0] = True  # the seed is in its own state even when nan
-            state = found[seeding].astype(labels.dtype)
-            labels[seeding, s:] = np.where(inside, state[:, None], block)
-            counts[seeding, state] = inside.sum(axis=1)
-            found[seeding] += 1
-    return labels, counts
+        for lo in range(0, len(windows), step):
+            block = windows[lo:lo + step]
+            unbinned = np.ones((len(block), window), dtype=bool)
+            for s in range(window):
+                seeding = np.flatnonzero(unbinned[:, s])
+                if seeding.size == 0:
+                    continue
+                members = unbinned[seeding, s:]
+                for i, d_i in enumerate(d):
+                    x = block[seeding, i, s:]  # a gathered copy: |x - seed| is taken in place
+                    x -= x[:, :1].copy()
+                    members &= np.abs(x, out=x) <= d_i
+                    del x  # before the next variable's copy is gathered
+                members[:, 0] = True  # the seed is in its own state even when nan
+                unbinned[seeding, s:] &= ~members
+                yield s, lo + seeding, members
+
+
+def bin_windows(values, delta, window: int, increment: int = 1) -> np.ndarray:
+    """Count each state's points in every window with the greedy center sweep.
+
+    values is a (T, n) array of points (a 1-D array is one variable);
+    windows start at rows 0, increment, 2*increment, ... while a full window
+    fits, and are read through a strided view of values, not copied.
+    Returns a C-contiguous (windows, window) array: counts[k, i] is the
+    number of points in window k's i-th discovered state, padded with zeros
+    on the right, in the smallest unsigned type that holds window.  The
+    sweep takes BLOCK_VALUES // window windows at a time (at least one), so
+    a temporary holds at most BLOCK_VALUES values of one variable.
+
+    Raises ValueError for a negative or nan delta, and DimensionMismatch
+    when the points and delta disagree on the number of variables.
+    """
+    n_windows = len(range(0, len(values) - window + 1, increment))
+    counts = np.zeros((n_windows, window), dtype=np.min_scalar_type(window))
+    found = np.zeros(len(counts), dtype=np.intp)  # states discovered so far, per window
+    for _, seeding, members in _sweep(values, delta, window, increment):
+        counts[seeding, found[seeding]] = members.sum(axis=1)
+        found[seeding] += 1
+    return counts
 
 
 def bin_window(points: Sequence[Sequence[float]], delta) -> StateAssignment:
@@ -121,9 +128,8 @@ def bin_window(points: Sequence[Sequence[float]], delta) -> StateAssignment:
     Points are swept in time order.  The earliest unbinned point becomes the
     center of a new state; every still-unbinned point within delta of that
     center (in all dimensions at once) joins it.  A point consumed by an
-    earlier state is never reconsidered.  This is bin_windows applied to a
-    single window: its labels give each state's members and its counts the
-    number of states.
+    earlier state is never reconsidered.  This reads the states from the
+    sweep of bin_windows over a single window.
 
     Returns a StateAssignment whose states appear in discovery order.
 
@@ -134,8 +140,8 @@ def bin_window(points: Sequence[Sequence[float]], delta) -> StateAssignment:
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise EmptyInput("cannot bin an empty window")
-    (labels,), (counts,) = bin_windows(pts, delta, len(pts))
     states = tuple(
-        tuple(np.flatnonzero(labels == k).tolist()) for k in range(np.count_nonzero(counts))
+        tuple((s + np.flatnonzero(members[0])).tolist())
+        for s, _, members in _sweep(pts, delta, len(pts), 1)
     )
     return StateAssignment(states=states, window_length=len(pts))

@@ -195,7 +195,7 @@ def sliding_fi(
     if t_count < w:
         raise SeriesTooShort(f"series has {t_count} steps but the window needs {w}")
 
-    _, counts = bin_windows(matrix.values, delta, w, cfg.increment)
+    counts = bin_windows(matrix.values, delta, w, cfg.increment)
     if not (counts.sum(axis=1) == w).all():
         raise ValueError("states do not form a partition of the window")
     # one row of bytes per window: equal count tuples have equal bytes

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from fisherinfo import (
     bin_window,
     same_state,
 )
-from fisherinfo.binning import bin_windows
+from fisherinfo import binning
+from fisherinfo.binning import _sweep, bin_windows
 
 from conftest import WORKED_ROWS
 from oracle import brute_bin
@@ -228,18 +231,20 @@ def test_enlarging_delta_can_split_later_states():
 
 
 @st.composite
-def kernel_cases(draw):
-    """Series of 1 to 3 windows of width 2..300 at any increment.
+def kernel_cases(draw, budget=0):
+    """Series of windows of width 2..300 at any increment.
 
-    The widths cross the int8/int16 label and uint8/uint16 count dtypes
-    (at 129 and 256).  Points are small integer grids, where |a - b| = delta
-    ties are common, or Gaussian values with some nan and +-inf points;
-    any state size may be 0 or inf.
+    A series holds 1 to 3 windows, or up to 100 while windows * width**2
+    stays within budget.  The widths cross the uint8/uint16 count dtypes
+    (at 256).  Points are small integer grids, where |a - b| = delta ties
+    are common, or Gaussian values with some nan and +-inf points; any
+    state size may be 0 or inf.
     """
     w = draw(st.one_of(st.sampled_from([2, 128, 129, 255, 256, 300]), st.integers(2, 300)))
     inc = draw(st.integers(1, w))
     n = draw(st.integers(1, 3))
-    rows = w + draw(st.integers(0, 2)) * inc + draw(st.integers(0, inc - 1))
+    most_windows = min(100, max(3, budget // (w * w)))
+    rows = w + draw(st.integers(0, most_windows - 1)) * inc + draw(st.integers(0, inc - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
         values = rng.integers(-2, 3, size=(rows, n)).astype(float)
@@ -252,43 +257,55 @@ def kernel_cases(draw):
     return values, deltas, w, inc
 
 
-def expected_window(points, deltas):
-    """brute_bin's partition of one window as bin_windows' label and count rows."""
-    states = brute_bin(points, deltas)
-    labels = [0] * len(points)
-    for k, state in enumerate(states):
-        for j in state:
-            labels[j] = k
-    return labels, [len(state) for state in states] + [0] * (len(points) - len(states))
-
-
 class TestBinWindows:
-    """The kernel's (labels, counts) contract, window by window against brute_bin."""
+    """The kernel's counts and its sweep's states, window by window against brute_bin."""
 
     def check(self, values, deltas, w, inc):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            labels, counts = bin_windows(values, deltas, w, inc)
+            counts = bin_windows(values, deltas, w, inc)
+            swept = list(_sweep(values, deltas, w, inc))
         starts = range(0, len(values) - w + 1, inc)
-        assert labels.shape == counts.shape == (len(starts), w)
-        assert labels.dtype == np.min_scalar_type(-w)
+        assert counts.shape == (len(starts), w)
         assert counts.dtype == np.min_scalar_type(w)
-        assert labels.flags.c_contiguous and counts.flags.c_contiguous
+        assert counts.flags.c_contiguous
+        states = [[] for _ in starts]  # each window's states as the sweep yields them
+        for s, seeding, members in swept:
+            for k, row in zip(seeding.tolist(), members):
+                states[k].append(tuple((s + np.flatnonzero(row)).tolist()))
         for k, a in enumerate(starts):
-            want_labels, want_counts = expected_window(values[a:a + w].tolist(), deltas)
-            assert labels[k].tolist() == want_labels
-            assert counts[k].tolist() == want_counts
+            want = brute_bin(values[a:a + w].tolist(), deltas)
+            assert tuple(states[k]) == want
+            assert counts[k].tolist() == [len(state) for state in want] + [0] * (w - len(want))
 
     @given(kernel_cases())
     @settings(max_examples=200, deadline=None)
     def test_every_window_matches_brute_force(self, case):
         self.check(*case)
 
+    @given(kernel_cases(budget=40_000), st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_every_window_matches_brute_force_in_blocks_of_1_to_40_windows(self, case, block):
+        values, deltas, w, inc = case
+        with mock.patch.object(binning, "BLOCK_VALUES", block * w):
+            self.check(values, deltas, w, inc)
+
     @pytest.mark.parametrize("w", [127, 128, 129, 255, 256, 257])
     def test_dtype_edges_hold_the_largest_label_and_count(self, w):
         distinct = np.arange(w + 1, dtype=float).reshape(-1, 1)
-        self.check(distinct, [0.0], w, 1)  # labels up to w - 1
+        self.check(distinct, [0.0], w, 1)  # w states of one point
         self.check(distinct, [math.inf], w, 1)  # one state of w points
+
+    def test_a_long_series_is_swept_within_a_bounded_peak(self):
+        values = np.random.default_rng(1).normal(size=(100_000, 2))
+        deltas = (2 * values.std(axis=0, ddof=1)).tolist()
+        tracemalloc.start()
+        try:
+            bin_windows(values, deltas, 32, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6  # the counts hold 3.2 MB; one gathered copy of all windows, 25.6 MB
 
 
 class TestStateAssignment:

@@ -13,9 +13,12 @@ import io
 import json
 import math
 import re
+import runpy
 import warnings
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -50,22 +53,42 @@ def _cells(tie_grid: bool):
             st.one_of(st.floats(0, 50, allow_nan=False), st.just(0.0)))
 
 
+def _row_count(draw, max_steps):
+    """10..max_steps, drawn as 10 + block * b + r with b in 0..10.
+
+    Hypothesis starts shrinking by lowering each small integer that changes
+    the shape of a case, so b goes to 0 at once and a failing case is cut to
+    at most 10 + block rows before any cell is shrunk.  Shrinking the cells
+    of a 400-row case first took minutes, because every step replays all of
+    them.
+    """
+    block = -(-(max_steps - 9) // 11)
+    b = draw(st.integers(0, 10))
+    return 10 + block * b + draw(st.integers(0, min(block, max_steps - 9 - block * b) - 1))
+
+
 @st.composite
 def series(draw, max_steps=400):
-    """A time origin, rows of 2..4 variables and explicit finite state sizes for them."""
+    """A time origin, explicit finite state sizes for 2..4 variables, a row
+    count and a strategy for that many rows.
+
+    Callers draw the rows last, after every choice that depends on the row
+    count, so that cutting the count leaves every other choice in place and
+    keeps the first rows.
+    """
     n = draw(st.integers(2, 4))
-    t_count = draw(st.integers(10, max_steps))
+    t_count = _row_count(draw, max_steps)
     cells, widths = _cells(draw(st.booleans()))
-    rows = draw(st.lists(st.lists(cells, min_size=n, max_size=n),
-                         min_size=t_count, max_size=t_count))
     sos = draw(st.lists(widths, min_size=n, max_size=n))
-    return draw(st.integers(-50, 2000)), rows, sos
+    # one flat list of cells, cut into rows: cheaper to draw than a list per row
+    rows = st.lists(cells, min_size=t_count * n, max_size=t_count * n).map(
+        lambda flat: [flat[i:i + n] for i in range(0, len(flat), n)])
+    return draw(st.integers(-50, 2000)), t_count, sos, rows
 
 
 @st.composite
 def cases(draw):
-    t0, rows, sos = draw(series())
-    t_count = len(rows)
+    t0, t_count, sos, rows = draw(series())
     w = draw(st.integers(2, min(130, t_count)))
     # the smallest increment whose (t_count - w) // inc + 1 windows fit the budget
     most_windows = ORACLE_BUDGET // (w * w)
@@ -80,7 +103,7 @@ def cases(draw):
     if n_windows >= 2 and draw(st.booleans()):
         first = draw(st.integers(0, n_windows - 2))
         slope_points = (first, draw(st.integers(first + 1, n_windows - 1)))
-    return t0, rows, w, inc, estimate, slope_points
+    return t0, draw(rows), w, inc, estimate, slope_points
 
 
 def _csv_text(t0, rows) -> str:
@@ -116,11 +139,12 @@ def _points(directory, t0, rows, sos, w, inc):
     return [(p["fi"], p["m_states"]) for p in _strict_json(files["json"])["fi_points"]]
 
 
-@given(cases())
-@settings(SETTINGS, max_examples=60)
-def test_every_output_of_main_matches_the_oracle(tmp_path_factory, case):
-    t0, rows, w, inc, estimate, slope_points = case
-    directory = tmp_path_factory.mktemp("run", numbered=True)
+def _check_every_output(directory, t0, rows, w, inc, estimate, slope_points):
+    """Run main on the rows and check every output against the oracle.
+
+    estimate is ["--k", k] or ["--sos", sizes]; slope_points, when given,
+    are the first and last window of the slope range.
+    """
     args = ["--window-size", str(w), "--increment", str(inc), *estimate]
     slope_labels = None
     if slope_points is not None:
@@ -217,11 +241,31 @@ def test_every_output_of_main_matches_the_oracle(tmp_path_factory, case):
     assert match.groups() == (str(len(points)), str(points[0]["time"]), str(points[-1]["time"]))
 
 
+@given(cases())
+@settings(SETTINGS, max_examples=60)
+def test_every_output_of_main_matches_the_oracle(tmp_path_factory, case):
+    _check_every_output(tmp_path_factory.mktemp("run", numbered=True), *case)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("make, estimate, w, inc", [
+    ("mixed_series", ["--sos", "0.5,0.5"], 8, 1),
+    ("wide_series", ["--k", "2"], 128, 64),
+], ids=["mixed_w8", "wide_w128"])
+def test_every_output_of_main_matches_the_oracle_on_the_benchmark_series(
+        tmp_path, make, estimate, w, inc):
+    """Every window of the benchmark's mixed_w8 and wide_w128 series at seed 1."""
+    inputs = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"))
+    rows = inputs[make](np.random.default_rng(1)).tolist()
+    _check_every_output(tmp_path, 1, rows, w, inc, estimate, None)
+
+
 @st.composite
 def explicit_cases(draw, max_steps=150):
-    t0, rows, sos = draw(series(max_steps))
-    w = draw(st.integers(2, min(130, len(rows))))
-    return t0, rows, sos, w, draw(st.integers(1, w))
+    t0, t_count, sos, rows = draw(series(max_steps))
+    w = draw(st.integers(2, min(130, t_count)))
+    inc = draw(st.integers(1, w))
+    return t0, draw(rows), sos, w, inc
 
 
 @given(explicit_cases(max_steps=120), st.data())
