@@ -107,18 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="compute the index series from a CSV file")
-    compute.add_argument("input", help="input CSV: header row, time label first column")
-    _add_pipeline_options(compute)
-
     estimate = sub.add_parser(
         "estimate-sos", help="print the estimated state size of each variable"
     )
-    estimate.add_argument("input", help="input CSV: header row, time label first column")
-    estimate.add_argument("--k", type=float, default=None,
-                          help=f"Chebyshev multiplier (default {DEFAULT_K:g})")
-    estimate.add_argument("--stable-range", type=_index_range, default=None, metavar="FIRST:LAST",
-                          help="0-based data-row indices of the stable period, inclusive "
-                               f"(default: all rows); {_EQUALS_FORM.format('--stable-range')}")
+    for cmd in (compute, estimate):
+        cmd.add_argument("input", help="input CSV: header row, time label first column")
+    _add_pipeline_options(compute)
+    _add_estimation_options(estimate)
 
     demo = sub.add_parser(
         "demo",
@@ -131,8 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="use cached data only (default)")
     mode.add_argument("--live", action="store_true",
                       help="allow fetching from the World Bank API")
-    demo.add_argument("--cache-dir", default=None,
-                      help="cache directory (default: $FISHERINFO_CACHE_DIR or the shipped fixture)")
 
     fetch = sub.add_parser("fetch", help="fetch one indicator series into the cache")
     fetch.add_argument("--country", default=DEMO_COUNTRY, help="ISO country code")
@@ -142,12 +135,15 @@ def build_parser() -> argparse.ArgumentParser:
     fetch.add_argument("--end", type=int, default=DEMO_YEARS[1], help="last year")
     fetch.add_argument("--offline", action="store_true",
                        help="fail instead of touching the network on a cache miss")
-    fetch.add_argument("--cache-dir", default=None,
-                       help="cache directory (default: $FISHERINFO_CACHE_DIR or the shipped fixture)")
+    for cmd in (demo, fetch):  # between fetch's --offline and --out, its place in fetch --help
+        cmd.add_argument("--cache-dir", default=None, help="cache directory "
+                         "(default: $FISHERINFO_CACHE_DIR or the shipped fixture)")
     fetch.add_argument("--out", default=None, help="also write the series as CSV to this path")
 
-    for cmd in sub.choices.values():  # main reports a refused value with this usage line
-        cmd.set_defaults(command_parser=cmd)
+    # main reports a refused value with command_parser's usage line
+    for cmd, run in ((compute, _cmd_compute), (estimate, _cmd_estimate_sos),
+                     (demo, _cmd_demo), (fetch, _cmd_fetch)):
+        cmd.set_defaults(command_parser=cmd, run=run)
     return parser
 
 
@@ -158,12 +154,7 @@ def _add_pipeline_options(cmd: argparse.ArgumentParser) -> None:
                      help=f"window increment in time steps (default {DEFAULT_INCREMENT})")
     cmd.add_argument("--sos", type=_sos_list, default=None, metavar="D1,D2,...",
                      help="explicit per-variable state sizes (overrides estimation)")
-    cmd.add_argument("--k", type=float, default=None,
-                     help=f"Chebyshev multiplier for estimation (default {DEFAULT_K:g})")
-    cmd.add_argument("--stable-range", type=_index_range, default=None, metavar="FIRST:LAST",
-                     help="0-based data-row indices used to estimate state sizes, "
-                          "inclusive (default: all rows); "
-                          + _EQUALS_FORM.format("--stable-range"))
+    _add_estimation_options(cmd)
     cmd.add_argument("--slope-tol", type=_positive_float, default=DEFAULT_SLOPE_TOL,
                      help=f"slope tolerance for the regime verdict (default {DEFAULT_SLOPE_TOL})")
     cmd.add_argument("--slope-range", type=_label_range, default=None, metavar="FIRST:LAST",
@@ -175,8 +166,19 @@ def _add_pipeline_options(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--plot", default=None, help="write an SVG line chart here")
 
 
+def _add_estimation_options(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("--k", type=float, default=None,
+                     help=f"Chebyshev multiplier for estimation (default {DEFAULT_K:g})")
+    cmd.add_argument("--stable-range", type=_index_range, default=None, metavar="FIRST:LAST",
+                     help="0-based data-row indices used to estimate state sizes, "
+                          "inclusive (default: all rows); "
+                          + _EQUALS_FORM.format("--stable-range"))
+
+
 def _configure(args) -> None:
     """Build the config objects a command uses; their checks run before any input is read."""
+    if args.command in ("demo", "fetch"):
+        args.cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     if args.command == "fetch":
         args.request = IndicatorRequest(args.country, args.indicator, (args.start, args.end))
         return
@@ -300,19 +302,16 @@ def _cmd_estimate_sos(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    offline = not args.live
-    directory = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    matrix = demo_matrix(cache_dir=directory, offline=offline)
+    matrix = demo_matrix(cache_dir=args.cache_dir, offline=not args.live)
     digests = {}
     for indicator in (GDP_PER_CAPITA, TOTAL_POPULATION):
-        path = cache_path(IndicatorRequest(DEMO_COUNTRY, indicator, DEMO_YEARS), directory)
+        path = cache_path(IndicatorRequest(DEMO_COUNTRY, indicator, DEMO_YEARS), args.cache_dir)
         digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     return _run_pipeline(args, matrix, "demo", digests)
 
 
 def _cmd_fetch(args) -> int:
-    req = args.request
-    directory = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
+    req, directory = args.request, args.cache_dir
     series = fetch_indicator(req, directory, offline=args.offline)
     print(f"{req.country_code}/{req.indicator_id}: {len(series)} year(s) "
           f"{series[0][0]}..{series[-1][0]} (cache: {cache_path(req, directory)})")
@@ -320,14 +319,6 @@ def _cmd_fetch(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             _write_series(fh, series)
     return 0
-
-
-_COMMANDS = {
-    "compute": _cmd_compute,
-    "estimate-sos": _cmd_estimate_sos,
-    "demo": _cmd_demo,
-    "fetch": _cmd_fetch,
-}
 
 
 def _format_warning(message, category, filename, lineno, line=None) -> str:
@@ -345,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             args.command_parser.error(str(exc))
         try:
-            return _COMMANDS[args.command](args)
+            return args.run(args)
         except (FisherInfoError, OSError) as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1

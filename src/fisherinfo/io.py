@@ -195,9 +195,11 @@ class ResultDocument:
     peaks: tuple[int, ...] = field(default_factory=tuple)
 
     @cached_property
-    def time_labels(self) -> list[str]:
-        """Every point's time as format_time_label renders it, once for all writers."""
-        return format_time_labels(self.series.time)
+    def columns(self) -> tuple[list[str], list[str], list[str]]:
+        """The time, fi and m_states texts of every point, rendered once for all writers."""
+        series = self.series
+        return (format_time_labels(series.time), _texts(series.fi, repr),
+                _texts(series.m_states, str))
 
 
 def _texts(column: np.ndarray, render) -> list[str]:
@@ -235,9 +237,7 @@ def write_results(doc: ResultDocument, fmt: str, destination: str | Path | IO[st
 
 
 def _csv_text(doc: ResultDocument) -> str:
-    series = doc.series
-    rows = _rows(("", ",", ",", "\n"),
-                 doc.time_labels, _texts(series.fi, repr), _texts(series.m_states, str))
+    rows = _rows(("", ",", ",", "\n"), *doc.columns)
     return "".join(chain(["time,fi,m_states\n"], rows))
 
 
@@ -267,8 +267,7 @@ def _json_text(doc: ResultDocument) -> str:
     series, v = doc.series, doc.verdict
     points: Iterable[str] = ["[]"]
     if len(series):
-        rows = _rows(_JSON_POINT, doc.time_labels, _texts(series.fi, repr),
-                     _texts(series.m_states, str), map(str, series.start.tolist()),
+        rows = _rows(_JSON_POINT, *doc.columns, map(str, series.start.tolist()),
                      map(str, series.end.tolist()))
         points = chain(["[", _JSON_POINT[0][1:]], rows, ["\n  ]"])  # no comma before the first
     verdict = None if v is None else {"category": str(v.category), "slope": v.slope,

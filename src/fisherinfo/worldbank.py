@@ -8,7 +8,6 @@ fixture) makes the whole demonstration pipeline reproducible offline.
 """
 from __future__ import annotations
 
-import importlib.resources
 import math
 import os
 import tempfile
@@ -57,7 +56,7 @@ def cache_path(req: IndicatorRequest, cache_dir: str | Path) -> Path:
 
 def fixture_cache_dir() -> Path:
     """Directory of the committed demonstration fixture (USA 1960-2013)."""
-    return Path(str(importlib.resources.files("fisherinfo").joinpath("data")))
+    return Path(__file__).with_name("data")
 
 
 def default_cache_dir() -> Path:

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -125,6 +126,18 @@ class TestCompute:
         # it prints (first, last, the verdict's range, the peaks) as columns too
         assert in_io.call_count <= 200 + 10
         assert in_cli.call_count == 0
+
+    def test_csv_and_json_share_one_rendering_of_each_column(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("t,a\n" + "".join(f"{t},{t % 7}\n" for t in range(1, 28)))
+        outputs = ["--out-csv", str(tmp_path / "fi.csv"), "--out-json", str(tmp_path / "fi.json"),
+                   "--plot", str(tmp_path / "fi.svg")]
+        with mock.patch.object(fio, "_texts", wraps=fio._texts) as texts:
+            code, out, _ = run(["compute", str(path), "--sos", "1", *outputs], capsys)
+        assert code == 0
+        assert "20 index point(s)" in out
+        # fi and m_states for both writers, and the SVG's y coordinates
+        assert texts.call_count == 3
 
     def test_digest_is_of_the_bytes_read_from_a_pipe(self, tmp_path):
         env = child_env()
@@ -336,6 +349,12 @@ class TestDemo:
         assert code == 1
         assert "NetworkError" in err
 
+    def test_empty_cache_dir_means_the_default(self, capsys, monkeypatch):
+        monkeypatch.delenv(wb.CACHE_DIR_ENV, raising=False)
+        expected = run(["demo", "--sos", PUBLISHED_SOS], capsys)
+        assert expected[0] == 0
+        assert run(["demo", "--sos", PUBLISHED_SOS, "--cache-dir", ""], capsys) == expected
+
 
 class TestFetch:
     def test_fetch_from_fixture_cache_offline(self, capsys, tmp_path):
@@ -508,6 +527,18 @@ class TestExitCodes:
         assert "--stable-range=FIRST:LAST" in out
         if command != "estimate-sos":
             assert "--slope-range=FIRST:LAST" in out
+
+    @pytest.mark.parametrize("option", ["--k", "--stable-range"])
+    def test_estimation_options_read_the_same_in_every_help(self, capsys, monkeypatch, option):
+        monkeypatch.setenv("COLUMNS", "400")  # one line per option
+        helps = set()
+        for command in ("compute", "estimate-sos", "demo"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            # the help text follows the option's metavar, on its line or the next
+            entry = re.search(rf"^  {option} \S+\s+(.+)$", capsys.readouterr().out, re.M)
+            helps.add(entry.group(1))
+        assert len(helps) == 1, helps
 
     @pytest.mark.parametrize("content, kind", [
         (None, "FileNotFoundError"),

@@ -42,15 +42,7 @@ from oracle import brute_bin, brute_fi_from_counts, brute_ols_slope, brute_sampl
 # case with w = 130 has at most three windows and one with w = 8 up to 400.
 ORACLE_BUDGET = 60_000
 
-SETTINGS = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow,
-                                                          HealthCheck.data_too_large])
-
-
-def _cells(tie_grid: bool):
-    if tie_grid:  # integer points and state sizes, so |a - b| == delta ties are common
-        return st.integers(-3, 3).map(float), st.sampled_from([0.0, 1.0, 2.0])
-    return (st.floats(-100, 100, allow_nan=False, width=32),
-            st.one_of(st.floats(0, 50, allow_nan=False), st.just(0.0)))
+SETTINGS = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 def _row_count(draw, max_steps):
@@ -78,11 +70,19 @@ def series(draw, max_steps=400):
     """
     n = draw(st.integers(2, 4))
     t_count = _row_count(draw, max_steps)
-    cells, widths = _cells(draw(st.booleans()))
+    if draw(st.booleans()):  # integer points and state sizes, so |a - b| == delta ties are common
+        widths = st.sampled_from([0.0, 1.0, 2.0])
+        # one flat list of cells, cut into rows: cheaper to draw than a list per row
+        rows = st.lists(st.integers(-3, 3).map(float), min_size=t_count * n,
+                        max_size=t_count * n).map(
+            lambda flat: [flat[i:i + n] for i in range(0, len(flat), n)])
+    else:
+        widths = st.one_of(st.floats(0, 50, allow_nan=False), st.just(0.0))
+        # 32-bit floats from one seed: a single choice however many rows, and
+        # fewer rows from the same seed are the first rows of more
+        rows = st.integers(0, 2 ** 32 - 1).map(lambda seed: np.random.default_rng(seed).uniform(
+            -100, 100, (t_count, n)).astype(np.float32).astype(float).tolist())
     sos = draw(st.lists(widths, min_size=n, max_size=n))
-    # one flat list of cells, cut into rows: cheaper to draw than a list per row
-    rows = st.lists(cells, min_size=t_count * n, max_size=t_count * n).map(
-        lambda flat: [flat[i:i + n] for i in range(0, len(flat), n)])
     return draw(st.integers(-50, 2000)), t_count, sos, rows
 
 
