@@ -308,44 +308,43 @@ def emit_plot(series: FiSeries, destination: str | Path | IO[str]) -> None:
 
 def _render_svg(series: FiSeries) -> str:
     y_lo, y_hi = PLOT_Y_RANGE
+    n = len(series)
+    x0, y0 = _ML, _H - _MB
+    x1, y1 = _W - _MR, _MT
+
+    # each coordinate column is one expression, in the float operations of the
+    # scalar form: x from the window ends (the centre when they all end on one
+    # row), y over the five y-tick levels followed by the points
     steps = series.end.astype(float)
-    x_lo, x_hi = float(steps[0]), float(steps[-1])
-
-    def sx(step: float) -> float:
-        if x_hi == x_lo:
-            return _ML + (_W - _ML - _MR) / 2.0
-        return _ML + (step - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
-
-    def sy(v: float) -> float:
-        return _H - _MB - (v - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+    span = steps[-1] - steps[0]
+    xs = (np.full(n, _ML + (_W - _ML - _MR) / 2.0) if span == 0
+          else _ML + (steps - steps[0]) / span * (_W - _ML - _MR))
+    levels = y_lo + (y_hi - y_lo) * np.arange(5) / 4.0
+    ys = _H - _MB - (np.concatenate((levels, series.fi)) - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+    x_texts = list(map("{:.2f}".format, xs.tolist()))
+    y_texts = _texts(ys, "{:.2f}".format)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<path d="M {x0} {y1} L {x0} {y0} L {x1} {y0}" fill="none" '
+        'stroke="black" stroke-width="1"/>',
     ]
 
-    # axes
-    x0, y0 = _ML, _H - _MB
-    x1, y1 = _W - _MR, _MT
-    out.append(f'<path d="M {x0} {y1} L {x0} {y0} L {x1} {y0}" fill="none" '
-               'stroke="black" stroke-width="1"/>')
-
     # y ticks: five even divisions of the range
-    for k in range(5):
-        v = y_lo + (y_hi - y_lo) * k / 4.0
-        yy = sy(v)
-        out += [f'<line x1="{x0 - 4}" y1="{yy:.2f}" x2="{x0}" y2="{yy:.2f}" stroke="black"/>',
+    for v, yy, y_text in zip(levels.tolist(), ys[:5].tolist(), y_texts):
+        out += [f'<line x1="{x0 - 4}" y1="{y_text}" x2="{x0}" y2="{y_text}" stroke="black"/>',
                 f'<text x="{x0 - 8}" y="{yy + 4:.2f}" text-anchor="end" '
                 f'font-family="sans-serif" font-size="12">{v:g}</text>']
 
-    # x ticks: at most eight, on point positions
-    n = len(series)
-    for i in sorted({*range(0, n, max(1, (n - 1) // 7)), n - 1}):
-        xx = sx(float(steps[i]))
-        out += [f'<line x1="{xx:.2f}" y1="{y0}" x2="{xx:.2f}" y2="{y0 + 4}" stroke="black"/>',
-                f'<text x="{xx:.2f}" y="{y0 + 18}" text-anchor="middle" font-family="sans-serif" '
-                f'font-size="12">{format_time_label(series.time[i])}</text>']
+    # x ticks: every (n - 1) // 7-th point (every point while n <= 14), and the last
+    ticks = [*range(0, n - 1, max(1, (n - 1) // 7)), n - 1]
+    for i, label in zip(ticks, format_time_labels(series.time[ticks])):
+        xx = x_texts[i]
+        out += [f'<line x1="{xx}" y1="{y0}" x2="{xx}" y2="{y0 + 4}" stroke="black"/>',
+                f'<text x="{xx}" y="{y0 + 18}" text-anchor="middle" font-family="sans-serif" '
+                f'font-size="12">{label}</text>']
 
     # axis titles
     out += [f'<text x="{(x0 + x1) / 2:.2f}" y="{_H - 14}" text-anchor="middle" '
@@ -356,13 +355,8 @@ def _render_svg(series: FiSeries) -> str:
 
     # the data: one polyline, or a single marker for a lone point
     if n == 1:
-        data = [f'<circle cx="{sx(x_lo):.2f}" cy="{sy(float(series.fi[0])):.2f}" '
-                'r="3.5" fill="#1f6fb4"/>']
+        data = [f'<circle cx="{x_texts[0]}" cy="{y_texts[5]}" r="3.5" fill="#1f6fb4"/>']
     else:
-        # the same float operations as the scalar form, one array at a time;
-        # sx gives one float when every step is the same
-        xs = map("{:.2f}".format, np.broadcast_to(sx(steps), steps.shape).tolist())
-        ys = _texts(sy(series.fi), "{:.2f}".format)
-        data = chain(['<polyline points="'], _rows((" ", ",", ""), xs, ys),
+        data = chain(['<polyline points="'], _rows((" ", ",", ""), x_texts, y_texts[5:]),
                      ['" fill="none" stroke="#1f6fb4" stroke-width="1.5"/>'])
     return "".join(chain(["\n".join(out), "\n"], data, ["\n</svg>\n"]))

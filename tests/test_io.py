@@ -448,6 +448,20 @@ class TestEmitPlot:
         with pytest.raises(EmptySeries):
             emit_plot(empty, tmp_path / "never.svg")
 
+    @pytest.mark.parametrize("n, one_end", [*((n, False) for n in range(1, 41)),
+                                            (2, True), (5, True)])
+    def test_matches_reference_at_every_tick_count(self, n, one_end):
+        # n = 1..40 gives every x-tick stride (n - 1) // 7 from 0 to 5; windows
+        # that all end on one row put every vertex at the centre, as a lone point is
+        rng = np.random.default_rng(n)
+        start = np.full(n, 3) if one_end else np.cumsum(rng.integers(1, 5, n))
+        series = FiSeries(time=1900.0 + 0.5 * start, fi=rng.uniform(0.01, 8.0, n),
+                          m_states=rng.integers(1, 9, n), start=start,
+                          config=WindowConfig(8, 1), state_size=StateSize((0.5,)))
+        out = stdio.StringIO()
+        emit_plot(series, out)
+        assert out.getvalue() == ref.svg_text(series)
+
     def test_plot_is_deterministic(self, demo_series, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         emit_plot(demo_series, a)
