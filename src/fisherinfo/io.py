@@ -19,11 +19,11 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import TimeSeriesMatrix, validate_matrix
-from .engine import FiSeries
+from .engine import FI_MAX, FiSeries
 from .errors import EmptyInput, MissingValue, NonUniformTimeAxis, ParseError
 from .regimes import RegimeVerdict
 
-PLOT_Y_RANGE = (0.0, 8.0)
+PLOT_Y_RANGE = (0.0, FI_MAX)
 
 
 def format_time_label(t: float) -> str:
@@ -73,8 +73,7 @@ def _parse_lines(lines: list[str], name: str) -> TimeSeriesMatrix:
     the same matrix or raises the error naming the file, line and column.
     """
     reader = csv.reader(lines)
-    rows = _checked(reader, name)
-    header = next(rows, None)
+    header = next(_checked(reader, name), None)
     if header is None or len(header) == 0:
         raise EmptyInput(f"{name}: empty file, expected a header row")
     header = [cell.strip() for cell in header]
@@ -88,7 +87,7 @@ def _parse_lines(lines: list[str], name: str) -> TimeSeriesMatrix:
             return validate_matrix(header[1:], grid[:, 0], grid[:, 1:])
         except (MissingValue, NonUniformTimeAxis):
             pass  # the per-cell reader below reports the file and line
-    return _read_cells(rows, header, name)
+    return _read_cells(reader, header, name)
 
 
 # loadtxt strips these from a cell as whitespace, float() refuses them
@@ -110,17 +109,18 @@ def _bulk_grid(body: list[str]) -> np.ndarray | None:
         return None
     try:
         return np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float)
-    except Exception:  # whatever loadtxt refuses, the per-cell reader judges
+    except ValueError:  # whatever loadtxt refuses, the per-cell reader judges
         return None
 
 
-def _read_cells(rows, header: list[str], name: str) -> TimeSeriesMatrix:
-    """Convert the data rows cell by cell and validate them, naming the line of any fault."""
+def _read_cells(reader, header: list[str], name: str) -> TimeSeriesMatrix:
+    """Convert the reader's rows cell by cell and validate them, naming the line of any fault."""
     labels = header[1:]
     times: list[float] = []
     values: list[list[float]] = []
     line_nos: list[int] = []  # CSV line of each data row
-    for line_no, row in enumerate(rows, start=2):
+    for row in _checked(reader, name):
+        line_no = reader.line_num  # the line the row ends on: a quoted cell may span lines
         try:
             # float() itself ignores the whitespace around a number
             cells = [float(cell) for cell in row]

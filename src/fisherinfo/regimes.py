@@ -60,22 +60,18 @@ def _columns(series) -> tuple[np.ndarray, np.ndarray]:
     return values, np.arange(len(values))
 
 
-def _selection(series, index_range) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-    """Time steps and values of the points in the inclusive index_range, and the range."""
+def _fit(series, index_range) -> tuple[float, float, tuple[int, int]]:
+    """Least-squares slope per time step and mean of the index over index_range, and the range."""
     values, steps = _columns(series)
     a, b = inclusive_range(index_range, len(values), "index_range")
-    return steps[a:b + 1].astype(float), values[a:b + 1], (a, b)
-
-
-def _slope_and_mean(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of ys against xs, and the mean of ys."""
+    xs, ys = steps[a:b + 1].astype(float), values[a:b + 1]
     n = len(ys)
     xbar = math.fsum(xs.tolist()) / n
     ybar = math.fsum(ys.tolist()) / n
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as Python floats give them
         dx, dy = xs - xbar, ys - ybar
         num = math.fsum((dx * dy).tolist())
-    return num / fsum_of_squares(dx), ybar
+    return num / fsum_of_squares(dx), ybar, (a, b)
 
 
 def fi_slope(series: FiSeries | Sequence[float], index_range: tuple[int, int] | None = None) -> float:
@@ -89,8 +85,7 @@ def fi_slope(series: FiSeries | Sequence[float], index_range: tuple[int, int] | 
     Raises DegenerateRange when index_range lies outside the series or
     holds fewer than two points.
     """
-    xs, ys, _ = _selection(series, index_range)
-    return _slope_and_mean(xs, ys)[0]
+    return _fit(series, index_range)[0]
 
 
 def classify_regime(
@@ -106,8 +101,7 @@ def classify_regime(
     """
     if not tol > 0:
         raise ValueError(f"slope tolerance must be positive, got {tol}")
-    xs, ys, window = _selection(series, index_range)
-    slope, mean_fi = _slope_and_mean(xs, ys)
+    slope, mean_fi, window = _fit(series, index_range)
     bound = tol * (1.0 + _TOL_REL_SLACK)
     if slope < -bound:
         category = RegimeCategory.DECLINING

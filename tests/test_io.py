@@ -140,6 +140,17 @@ class TestReadCsv:
         )
         assert exc.value.row == 3
 
+    @pytest.mark.parametrize("text, error, line", [
+        ('t,"a\nb"\n1,2\n2,x\n', ParseError, 4),  # a bad cell after a two-line header
+        ('t,a\n1,"2\n"\n2,3\n3,x\n', ParseError, 5),  # a bad cell after a two-line row
+        ('t,a\n1,"2\n"\n2,3\n4,4\n', NonUniformTimeAxis, 5),
+        ('t,a\n1,"2\n"\n2,3\n3,nan\n', MissingValue, 5),
+        ('t,a\n1,"2\n"\n2,3,4\n', ParseError, 4),  # three cells, not two
+    ])
+    def test_fault_after_a_quoted_newline_names_the_line_it_is_on(self, text, error, line):
+        with pytest.raises(error, match=rf"^<stream>: line {line}\b"):
+            read_csv(stdio.StringIO(text, newline=""))
+
 
 # Padding that float() and loadtxt both strip.
 SPACES = ["", " ", "\t", "\x0b", "\x0c", "\xa0", "\u2003"]
