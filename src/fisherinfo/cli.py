@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
-import io
 import sys
 import warnings
 from pathlib import Path
@@ -223,7 +221,7 @@ def _slope_index_range(series, slope_range: tuple[float, float] | None):
     return int(idx[0]), int(idx[-1])
 
 
-def _run_pipeline(args, matrix: TimeSeriesMatrix, command: str, input_digests: dict) -> int:
+def _run_pipeline(args, matrix: TimeSeriesMatrix, command: str) -> int:
     delta, sos_meta = _resolve_state_size(args, matrix)
     series = sliding_fi(matrix, delta, args.window)
 
@@ -239,7 +237,7 @@ def _run_pipeline(args, matrix: TimeSeriesMatrix, command: str, input_digests: d
         "tool": "fisherinfo",
         "version": __version__,
         "command": command,
-        "inputs_sha256": input_digests,
+        "inputs_sha256": dict(matrix.sources),
         "variables": list(matrix.labels),
         "n_steps": matrix.n_steps,
         "window_size": args.window.window_size,
@@ -284,13 +282,7 @@ def _run_pipeline(args, matrix: TimeSeriesMatrix, command: str, input_digests: d
 
 
 def _cmd_compute(args) -> int:
-    # one read: the digest covers exactly the bytes parsed, also from a pipe
-    data = Path(args.input).read_bytes()
-    digests = {str(args.input): hashlib.sha256(data).hexdigest()}
-    buffer = io.BytesIO(data)
-    buffer.name = str(Path(args.input))  # the name that parse errors report
-    matrix = read_csv(io.TextIOWrapper(buffer, encoding="utf-8", newline=""))
-    return _run_pipeline(args, matrix, "compute", digests)
+    return _run_pipeline(args, read_csv(args.input), "compute")
 
 
 def _cmd_estimate_sos(args) -> int:
@@ -302,12 +294,7 @@ def _cmd_estimate_sos(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    matrix = demo_matrix(cache_dir=args.cache_dir, offline=not args.live)
-    digests = {}
-    for indicator in (GDP_PER_CAPITA, TOTAL_POPULATION):
-        path = cache_path(IndicatorRequest(DEMO_COUNTRY, indicator, DEMO_YEARS), args.cache_dir)
-        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return _run_pipeline(args, matrix, "demo", digests)
+    return _run_pipeline(args, demo_matrix(args.cache_dir, offline=not args.live), "demo")
 
 
 def _cmd_fetch(args) -> int:

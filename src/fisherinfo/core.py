@@ -45,6 +45,9 @@ class TimeSeriesMatrix:
         Strictly increasing, uniformly spaced float64 time stamps.
     values : numpy.ndarray, shape (T, n), read-only
         Row j holds the system point at times[j]; every cell is finite.
+    sources : tuple of (str, str)
+        (name, sha256 hex digest) of each file read into the matrix, in
+        reading order; () when no file was.
 
     Instances are immutable after construction and safe to share across
     concurrent tasks.  Build them through :func:`validate_matrix`.
@@ -53,6 +56,7 @@ class TimeSeriesMatrix:
     labels: tuple[str, ...]
     times: np.ndarray
     values: np.ndarray
+    sources: tuple[tuple[str, str], ...] = ()
 
     @property
     def n_steps(self) -> int:

@@ -8,9 +8,12 @@ inputs and configuration produce byte-identical bytes.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
@@ -54,15 +57,23 @@ def read_csv(source: str | Path | IO[str]) -> TimeSeriesMatrix:
     NonUniformTimeAxis) propagate from validate_matrix; a MissingValue or
     NonUniformTimeAxis is re-raised with a message naming the file and the
     CSV line, keeping its row and column attributes.
+
+    A path is read once, and the matrix's sources pairs the path as given
+    with the sha256 of the bytes parsed; a stream's matrix has no sources.
     """
     if hasattr(source, "read"):
         name = getattr(source, "name", "<stream>")
-        lines = list(_checked(source, name))
-    else:
-        name = str(Path(source))
-        with open(name, "r", encoding="utf-8", newline="") as fh:
-            lines = list(_checked(fh, name))
-    return _parse_lines(lines, name)
+        return _parse_lines(list(_checked(source, name)), name)
+    name = str(Path(source))
+    lines, digest = _read_lines(name)
+    return replace(_parse_lines(lines, name), sources=((os.fspath(source), digest),))
+
+
+def _read_lines(name: str) -> tuple[list[str], str]:
+    """The lines of UTF-8 file name, ends kept, and the sha256 of the bytes they decode from."""
+    data = Path(name).read_bytes()
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    return list(_checked(text, name)), hashlib.sha256(data).hexdigest()
 
 
 def _parse_lines(lines: list[str], name: str) -> TimeSeriesMatrix:

@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO
 
 from .core import TimeSeriesMatrix, validate_matrix
 from .errors import GapInSeries, NetworkError, NotFound, ParseError, RangeMismatch
-from .io import _checked, _parse_cell
+from .io import _parse_cell, _read_lines
 
 API_BASE = "https://api.worldbank.org/v2"
 REQUEST_TIMEOUT = 30.0
@@ -91,8 +91,8 @@ def fetch_indicator(
     """Return (year, value) pairs for one indicator, years ascending.
 
     Serves from the cache file when present (never touching the network);
-    otherwise fetches from the API, verifies the range is complete, and
-    writes the cache atomically before returning.
+    otherwise fetches from the API, verifies the range is complete, writes
+    the cache atomically and serves the file it wrote, read like a cache hit.
 
     Raises NetworkError when offline with no cached copy or when the API
     is unreachable; NotFound for unknown indicator or country; GapInSeries
@@ -100,22 +100,25 @@ def fetch_indicator(
     reported, never imputed); ParseError for a malformed or non-finite
     cache row.
     """
+    return _serve(req, cache_dir, offline, timeout)[0]
+
+
+def _serve(req: IndicatorRequest, cache_dir: str | Path, offline: bool,
+           timeout: float) -> tuple[list[tuple[int, float]], tuple[str, str]]:
+    """fetch_indicator's series and (cache file name, sha256 of the bytes parsed)."""
     path = cache_path(req, cache_dir)
     start, end = req.year_range
-    if path.exists():
-        series = _read_cache(path)
-        if [y for y, _ in series] != list(range(start, end + 1)):
-            raise GapInSeries(f"{path}: cache file does not hold exactly the years {start}-{end}")
-        return [(int(y), v) for y, v in series]
-    if offline:
-        raise NetworkError(
-            f"offline and no cached copy for {req.country_code}/{req.indicator_id} "
-            f"{start}-{end} (looked in {path})"
-        )
-
-    series = _fetch_remote(req, timeout)
-    _write_cache(path, series)
-    return series
+    if not path.exists():
+        if offline:
+            raise NetworkError(
+                f"offline and no cached copy for {req.country_code}/{req.indicator_id} "
+                f"{start}-{end} (looked in {path})"
+            )
+        _write_cache(path, _fetch_remote(req, timeout))
+    series, digest = _read_cache(path)
+    if [y for y, _ in series] != list(range(start, end + 1)):
+        raise GapInSeries(f"{path}: cache file does not hold exactly the years {start}-{end}")
+    return [(int(y), v) for y, v in series], (path.name, digest)
 
 
 def _fetch_remote(req: IndicatorRequest, timeout: float) -> list[tuple[int, float]]:
@@ -172,22 +175,20 @@ def _summarize(years: list[int], limit: int = 8) -> str:
     return shown
 
 
-def _read_cache(path: Path) -> list[tuple[float, float]]:
-    """Parse a `year,value` cache file.
+def _read_cache(path: Path) -> tuple[list[tuple[float, float]], str]:
+    """Parse a `year,value` cache file; also return the sha256 of the bytes parsed.
 
     A malformed row, a non-finite year or value, or non-UTF-8 text raises
     ParseError.
     """
+    lines, digest = _read_lines(str(path))
     series = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _checked(fh, str(path))
-        next(lines, None)  # header
-        for line_no, line in enumerate(lines, start=2):
-            if line.strip():
-                year, _, value = line.partition(",")  # a missing or extra cell spoils value
-                series.append((_cache_cell(year, str(path), line_no, "year"),
-                               _cache_cell(value, str(path), line_no, "value")))
-    return sorted(series)
+    for line_no, line in enumerate(lines[1:], start=2):  # after the header
+        if line.strip():
+            year, _, value = line.partition(",")  # a missing or extra cell spoils value
+            series.append((_cache_cell(year, str(path), line_no, "year"),
+                           _cache_cell(value, str(path), line_no, "value")))
+    return sorted(series), digest
 
 
 def _cache_cell(cell: str, name: str, line_no: int, column: str) -> float:
@@ -257,13 +258,8 @@ def demo_matrix(
     directory); pass offline=False to allow a live fetch into the cache.
     """
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    series_list = [
-        fetch_indicator(
-            IndicatorRequest(DEMO_COUNTRY, indicator, DEMO_YEARS),
-            directory,
-            offline=offline,
-            timeout=timeout,
-        )
+    series_list, sources = zip(*(
+        _serve(IndicatorRequest(DEMO_COUNTRY, indicator, DEMO_YEARS), directory, offline, timeout)
         for indicator in (GDP_PER_CAPITA, TOTAL_POPULATION)
-    ]
-    return assemble_demo_matrix(series_list, labels=DEMO_LABELS)
+    ))
+    return replace(assemble_demo_matrix(list(series_list), labels=DEMO_LABELS), sources=sources)

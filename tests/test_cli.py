@@ -1,7 +1,9 @@
+import builtins
 import gc
 import hashlib
 import json
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -340,6 +342,56 @@ class TestDemo:
         assert code == 1
         assert err == f"error: ParseError: {bad}: line 12, column 'value': non-finite value nan\n"
         assert out == ""
+
+    @staticmethod
+    def fixture_copy(tmp_path):
+        """A copy of the shipped cache and its files in demo order."""
+        cache = tmp_path / "cache"
+        shutil.copytree(wb.fixture_cache_dir(), cache)
+        requests = [wb.IndicatorRequest(wb.DEMO_COUNTRY, indicator, wb.DEMO_YEARS)
+                    for indicator in (wb.GDP_PER_CAPITA, wb.TOTAL_POPULATION)]
+        return cache, [wb.cache_path(req, cache) for req in requests]
+
+    def test_digest_is_of_the_bytes_parsed(self, capsys, tmp_path, monkeypatch):
+        cache, paths = self.fixture_copy(tmp_path)
+        parsed = [(path.name, hashlib.sha256(path.read_bytes()).hexdigest()) for path in paths]
+        read_cache = wb._read_cache
+
+        def read_then_replace(path):
+            result = read_cache(path)
+            path.write_bytes(b"year,value\nreplaced after parsing\n")
+            return result
+
+        monkeypatch.setattr(wb, "_read_cache", read_then_replace)
+        out_json = tmp_path / "demo.json"
+        code, _, _ = run(["demo", "--sos", PUBLISHED_SOS, "--cache-dir", str(cache),
+                          "--out-json", str(out_json)], capsys)
+        assert code == 0
+        assert all(path.read_bytes().endswith(b"replaced after parsing\n") for path in paths)
+        digests = json.loads(out_json.read_text())["metadata"]["inputs_sha256"]
+        assert list(digests.items()) == parsed
+
+    def test_each_cache_file_is_read_once(self, capsys, tmp_path, monkeypatch):
+        cache, paths = self.fixture_copy(tmp_path)
+        opened = []
+        real_open, real_path_open = builtins.open, Path.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        def recording_path_open(self, *args, **kwargs):
+            opened.append(str(self))
+            return real_path_open(self, *args, **kwargs)
+
+        # Path.read_bytes opens through Path.open, which does not look up builtins.open
+        monkeypatch.setattr(builtins, "open", recording_open)
+        monkeypatch.setattr(Path, "open", recording_path_open)
+        code, _, _ = run(["demo", "--sos", PUBLISHED_SOS, "--cache-dir", str(cache),
+                          "--out-json", str(tmp_path / "demo.json")], capsys)
+        assert code == 0
+        assert sorted(name for name in opened if Path(name).parent == cache) == sorted(
+            str(path) for path in paths)
 
     def test_cache_dir_env_override(self, capsys, tmp_path, monkeypatch):
         from fisherinfo.worldbank import CACHE_DIR_ENV

@@ -21,7 +21,7 @@ from fisherinfo import (
     WindowConfig,
     validate_matrix,
 )
-from fisherinfo.core import inclusive_range
+from fisherinfo.core import SPACING_RTOL, inclusive_range
 
 from conftest import WORKED_ROWS, child_env
 
@@ -73,6 +73,20 @@ class TestValidateMatrix:
         times = [0.0, 0.1, 0.2 + 1e-14, 0.3]
         m = validate_matrix(["y"], times, [[0], [1], [2], [3]])
         assert m.n_steps == 4
+
+    # the two spacings differ by 1.0, and SPACING_RTOL * 1e9 is exactly 1.0 in binary64
+    @pytest.mark.parametrize("times", [[0.0, 999999999.0, 1999999999.0],
+                                       [0.0, 1e9, 1999999999.0]])
+    def test_spacing_change_of_exactly_the_tolerance_is_accepted(self, times):
+        assert SPACING_RTOL * 1e9 == 1.0
+        assert validate_matrix(["y"], times, [[0]] * 3).n_steps == 3
+
+    @pytest.mark.parametrize("times", [[0.0, 1e9, 1999999998.0],
+                                       [0.0, 999999998.0, 1999999998.0]])
+    def test_spacing_change_just_past_the_tolerance_is_rejected(self, times):
+        with pytest.raises(NonUniformTimeAxis) as exc:
+            validate_matrix(["y"], times, [[0]] * 3)
+        assert exc.value.row == 2
 
     def test_nan_cell_reported_with_position(self):
         with pytest.raises(MissingValue) as exc:

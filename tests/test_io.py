@@ -1,3 +1,4 @@
+import hashlib
 import io as stdio
 import json
 import warnings
@@ -66,6 +67,20 @@ class TestReadCsv:
     def test_reads_streams(self):
         m = read_csv(stdio.StringIO(WORKED_CSV))
         assert m.n_steps == 8
+
+    @pytest.mark.parametrize("as_given", [str, lambda path: path], ids=["str", "Path"])
+    def test_a_path_records_the_digest_of_its_bytes(self, worked_csv_path, as_given):
+        digest = hashlib.sha256(worked_csv_path.read_bytes()).hexdigest()
+        assert read_csv(as_given(worked_csv_path)).sources == ((str(worked_csv_path), digest),)
+
+    def test_a_path_is_recorded_as_given(self, worked_csv_path, monkeypatch):
+        monkeypatch.chdir(worked_csv_path.parent)
+        (name, _), = read_csv("./worked.csv").sources
+        assert name == "./worked.csv"
+
+    def test_a_stream_and_validate_matrix_record_no_source(self):
+        assert read_csv(stdio.StringIO(WORKED_CSV)).sources == ()
+        assert validate_matrix(["y"], [0.0], [[1.0]]).sources == ()
 
     def test_header_only_is_empty(self):
         with pytest.raises(EmptyInput):

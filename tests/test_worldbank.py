@@ -1,3 +1,4 @@
+import hashlib
 import http.client
 import io
 import json
@@ -20,6 +21,8 @@ from fisherinfo import (
     demo_matrix,
     fetch_indicator,
 )
+
+from fisherinfo.cli import main
 
 from conftest import child_env
 
@@ -50,6 +53,13 @@ def fake_api(monkeypatch):
 
     monkeypatch.setattr(wb, "_get_json", _fake_get_json)
     return state
+
+
+def demo_digests(directory):
+    """(cache file name, sha256 of its bytes) of the demo's two indicators, in demo order."""
+    paths = [wb.cache_path(IndicatorRequest(wb.DEMO_COUNTRY, indicator, wb.DEMO_YEARS), directory)
+             for indicator in (wb.GDP_PER_CAPITA, wb.TOTAL_POPULATION)]
+    return [(path.name, hashlib.sha256(path.read_bytes()).hexdigest()) for path in paths]
 
 
 @pytest.fixture
@@ -96,6 +106,18 @@ class TestFetchIndicator:
         assert fake_api["calls"] == 1
         assert wb.cache_path(req, tmp_path).exists()
         assert fake_api["last_params"]["date"] == "2000:2002"
+
+    def test_fetched_series_is_served_from_the_file_written(self, fake_api, tmp_path,
+                                                           monkeypatch):
+        req = IndicatorRequest("USA", "X.Y", (2000, 2001))
+        fake_api["payload"] = wb_payload(wb_records([(2000, 1.0), (2001, 2.0)]))
+        write_cache = wb._write_cache
+
+        def write_other_values(path, series):
+            write_cache(path, [(year, 10 * value) for year, value in series])
+
+        monkeypatch.setattr(wb, "_write_cache", write_other_values)
+        assert fetch_indicator(req, tmp_path) == [(2000, 10.0), (2001, 20.0)]
 
     def test_second_call_served_from_cache(self, fake_api, tmp_path):
         req = IndicatorRequest("USA", "X.Y", (2000, 2002))
@@ -325,6 +347,20 @@ class TestShippedFixture:
         assert m.labels == ("gdp_per_capita_usd", "population")
         assert m.times[0] == 1960.0
         assert m.times[-1] == 2013.0
+
+    def test_demo_matrix_records_each_cache_file_it_parsed(self):
+        assert list(demo_matrix(offline=True).sources) == demo_digests(wb.fixture_cache_dir())
+
+    def test_live_demo_records_the_cache_files_it_wrote(self, fake_api, tmp_path, capsys):
+        years = range(wb.DEMO_YEARS[1], wb.DEMO_YEARS[0] - 1, -1)
+        fake_api["payload"] = wb_payload(wb_records([(y, y % 7 + 1.5) for y in years]))
+        cache, out_json = tmp_path / "cache", tmp_path / "demo.json"
+        code = main(["demo", "--live", "--sos", "1,1", "--cache-dir", str(cache),
+                     "--out-json", str(out_json)])
+        assert code == 0
+        assert fake_api["calls"] == 2
+        digests = json.loads(out_json.read_text())["metadata"]["inputs_sha256"]
+        assert list(digests.items()) == demo_digests(cache)
 
     def test_demo_matrix_empty_cache_offline_fails(self, tmp_path):
         with pytest.raises(NetworkError):
