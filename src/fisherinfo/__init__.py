@@ -34,9 +34,8 @@ _EXPORTS = {
     "io": "ResultDocument read_csv write_results emit_plot",
     "worldbank": "IndicatorRequest fetch_indicator assemble_demo_matrix demo_matrix",
     "errors": "FisherInfoError EmptyInput MissingValue NonUniformTimeAxis DimensionMismatch "
-              "EmptyWindow DegenerateRange SeriesTooShort RangeTooShort ParseError EmptySeries "
-              "NetworkError NotFound GapInSeries RangeMismatch SmallWindowWarning "
-              "ConstantVariableWarning SosPrecedenceWarning",
+              "DegenerateRange SeriesTooShort ParseError NetworkError NotFound GapInSeries "
+              "RangeMismatch SmallWindowWarning ConstantVariableWarning SosPrecedenceWarning",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

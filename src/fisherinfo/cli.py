@@ -87,8 +87,8 @@ def _label_range(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a time-label pair 'first:last'"
         ) from None
-    if not a <= b:  # also refuses a nan bound
-        raise argparse.ArgumentTypeError(f"need first <= last, got {text!r}")
+    if not a < b:  # also refuses a nan bound
+        raise argparse.ArgumentTypeError(f"need first < last, got {text!r}")
     return a, b
 
 

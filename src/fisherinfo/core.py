@@ -126,8 +126,8 @@ class SosConfig:
 
     k is the Chebyshev multiplier (k=2 guarantees at least 75% coverage for
     any distribution); stable_range is an optional inclusive (first, last)
-    index pair into the time axis selecting the stable period.  Default is
-    the full series.
+    index pair into the time axis selecting the stable period, with
+    0 <= first < last.  Default is the full series.
     """
 
     k: float = DEFAULT_K
@@ -138,8 +138,8 @@ class SosConfig:
             raise ValueError(f"k must be a positive finite number, got {self.k}")
         if self.stable_range is not None:
             a, b = self.stable_range
-            if not (0 <= a <= b):
-                raise ValueError(f"stable_range must satisfy 0 <= first <= last, got {a}:{b}")
+            if not (0 <= a < b):
+                raise ValueError(f"stable_range must satisfy 0 <= first < last, got {a}:{b}")
             object.__setattr__(self, "stable_range", (int(a), int(b)))
 
 

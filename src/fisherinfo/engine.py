@@ -53,7 +53,6 @@ class FiSeries:
     m_states: np.ndarray
     start: np.ndarray
     config: WindowConfig
-    state_size: StateSize
 
     def __post_init__(self):
         for name, dtype in (("time", float), ("fi", float), ("m_states", np.intp),
@@ -209,5 +208,4 @@ def sliding_fi(
         m_states=np.count_nonzero(counts, axis=1),
         start=start,
         config=cfg,
-        state_size=delta,
     )

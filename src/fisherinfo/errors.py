@@ -76,13 +76,6 @@ class RangeMismatch(FisherInfoError):
     """Series to be assembled do not cover identical year ranges."""
 
 
-# --- aliases: earlier names for the same failures, kept for callers ---
-
-EmptyWindow = EmptyInput
-EmptySeries = EmptyInput
-RangeTooShort = DegenerateRange
-
-
 # --- warning categories ---
 
 class SmallWindowWarning(UserWarning):

@@ -225,9 +225,9 @@ def _write_cache(path: Path, series: list[tuple[int, float]]) -> None:
 
 def assemble_demo_matrix(
     series_list: list[list[tuple[int, float]]],
-    labels: tuple[str, ...] | None = None,
+    labels: tuple[str, ...],
 ) -> TimeSeriesMatrix:
-    """Combine per-indicator (year, value) series into one matrix.
+    """Combine per-indicator (year, value) series into one matrix with one label per series.
 
     All series must cover exactly the same years; raises RangeMismatch
     otherwise.
@@ -241,8 +241,6 @@ def assemble_demo_matrix(
                 f"series 1 covers {len(years)} year(s) "
                 f"{years[0]}-{years[-1]} but series {i} differs"
             )
-    if labels is None:
-        labels = tuple(f"var{i + 1}" for i in range(len(series_list)))
     rows = [[series[j][1] for series in series_list] for j in range(len(years))]
     return validate_matrix(labels, [float(y) for y in years], rows)
 

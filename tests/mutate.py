@@ -1,0 +1,101 @@
+"""Mutation check of the test suite: every planted one-line fault must fail tier-1.
+
+Run from anywhere as ``python tests/mutate.py``.  It copies src/, tests/,
+perfbench/ (tier-1 reads its input generators) and pyproject.toml into a
+temporary directory outside the checkout, runs tier-1 there once unchanged
+(which must pass), then once per mutant with that one line replaced,
+stopping at the first failure (-x).  Each mutant's old text must occur
+exactly once in its file, so a mutant that no longer matches the code fails
+loudly before anything runs.
+
+Exits 0 only when the unchanged copy passes and every mutant fails a test.
+pytest does not collect this file: its name does not start with test_.
+"""
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file under src/fisherinfo, old text, new text): each one fault the tests must catch
+MUTANTS = [
+    # the inclusive box made strict
+    ("binning.py", "members &= np.abs(x, out=x) <= d_i", "members &= np.abs(x, out=x) < d_i"),
+    # a nan seed no longer forced into its own state
+    ("binning.py", "members[:, 0] = True", "members[:, 0] = members[:, 0]"),
+    # the right zero pad dropped
+    ("engine.py", "for c in counts), 0.0)", "for c in counts))"),
+    # the stamp moved to the window's first row
+    ("engine.py", "time=matrix.times[start + (w - 1)]", "time=matrix.times[start]"),
+    # a plateau counted as a peak
+    ("regimes.py", "(inner > values[:-2])", "(inner >= values[:-2])"),
+    # the tolerance slack dropped
+    ("regimes.py", "bound = tol * (1.0 + _TOL_REL_SLACK)", "bound = tol"),
+    # the fault line taken one line early
+    ("io.py", "line_no = reader.line_num ", "line_no = reader.line_num - 1 "),
+    # a spacing exactly on the tolerance refused
+    ("core.py", "np.abs(spacings - ref) > SPACING_RTOL", "np.abs(spacings - ref) >= SPACING_RTOL"),
+    # a one-point stable range accepted
+    ("core.py", "if not (0 <= a < b):", "if not (0 <= a <= b):"),
+]
+
+
+def tier1(copy: Path) -> tuple[int, str]:
+    """Run tier-1 in copy with -x; return pytest's status and its failures or last line."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=copy, env=env, capture_output=True, text=True,
+    )
+    failed = [line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    last = (done.stdout + done.stderr).strip().splitlines()[-1:]
+    return done.returncode, "; ".join(failed or last)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="fisherinfo-mutate-") as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache",
+                                      "out", ".work")
+        for tree in ("src", "tests", "perfbench"):
+            shutil.copytree(ROOT / tree, copy / tree, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        for name, old, _ in MUTANTS:
+            found = (copy / "src" / "fisherinfo" / name).read_text().count(old)
+            if found != 1:
+                print(f"stale mutant: {old!r} occurs {found} times in {name}")
+                return 1
+
+        status, summary = tier1(copy)
+        if status != 0:
+            print(f"unchanged copy fails tier-1 (status {status}): {summary}")
+            return 1
+        print("unchanged copy passes tier-1")
+
+        survivors = 0
+        for name, old, new in MUTANTS:
+            path = copy / "src" / "fisherinfo" / name
+            text = path.read_text()
+            path.write_text(text.replace(old, new))
+            started = time.perf_counter()
+            try:
+                status, summary = tier1(copy)
+            finally:
+                path.write_text(text)
+            # 1 is pytest's "tests failed"; any other status is no evidence either way
+            killed = status == 1
+            survivors += not killed
+            print(f"{'killed' if killed else 'SURVIVED'} ({status}, "
+                  f"{time.perf_counter() - started:.1f} s) {name}: {old!r} -> {new!r}: {summary}")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

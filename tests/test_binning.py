@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from fisherinfo import (
     DimensionMismatch,
     EmptyInput,
-    EmptyWindow,
     StateAssignment,
     StateSize,
     bin_window,
@@ -131,7 +130,7 @@ class TestBinWindow:
         assert a.states == ((0, 1), (2,))
 
     def test_empty_window_rejected(self, worked_delta):
-        with pytest.raises(EmptyWindow):
+        with pytest.raises(EmptyInput):
             bin_window([], worked_delta)
 
     def test_dimension_mismatch_rejected(self):

@@ -529,6 +529,9 @@ class TestExitCodes:
         ["demo", "--cache-dir", MISSING, "--window-size", "1"],
         ["fetch", "--offline", "--cache-dir", MISSING, "--start", "2010", "--end", "2000"],
         ["fetch", "--offline", "--cache-dir", MISSING, "--country", ""],
+        ["compute", MISSING, "--stable-range", "3:3"],
+        ["estimate-sos", MISSING, "--stable-range", "0:0"],
+        ["compute", MISSING, "--slope-range", "5:5"],
     ])
     def test_bad_argument_exits_2_even_without_input(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -543,7 +546,9 @@ class TestExitCodes:
         ["estimate-sos", MISSING, "--k", "0"],
         ["demo", "--cache-dir", MISSING, "--increment", "0"],
         ["fetch", "--offline", "--cache-dir", MISSING, "--country", ""],
-    ], ids=["compute", "estimate-sos", "demo", "fetch"])
+        ["compute", MISSING, "--stable-range", "3:3"],
+        ["demo", "--cache-dir", MISSING, "--slope-range", "1975:1975"],
+    ], ids=["compute", "estimate-sos", "demo", "fetch", "one_point_stable", "one_point_slope"])
     def test_refused_value_prints_the_subcommand_usage(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -559,7 +564,7 @@ class TestExitCodes:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: fisherinfo compute [-h]")
-        assert f"error: argument --slope-range: need first <= last, got '{pair}'" in err
+        assert f"error: argument --slope-range: need first < last, got '{pair}'" in err
         assert "No such file" not in err
 
     @pytest.mark.parametrize("command", ["compute", "estimate-sos"])
@@ -567,7 +572,7 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([command, MISSING, "--stable-range=-1:3"])
         assert exc.value.code == 2
-        assert ("error: stable_range must satisfy 0 <= first <= last, got -1:3"
+        assert ("error: stable_range must satisfy 0 <= first < last, got -1:3"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["compute", "estimate-sos", "demo"])
@@ -610,7 +615,7 @@ class TestExitCodes:
         assert str(path) in err
 
     @pytest.mark.parametrize("command, pair", [
-        ("estimate-sos", "4:4"),   # one row
+        ("estimate-sos", "7:8"),   # one row in the data, one past it
         ("compute", "0:99"),       # past the last of the 8 data rows
     ])
     def test_stable_range_the_data_cannot_hold_exits_1_naming_the_pair(

@@ -310,22 +310,22 @@ class TestInclusiveRange:
         assert (type(first), type(last)) == (int, int)
 
 
-def test_folded_error_names_are_aliases_and_all_18_names_stay_exported():
-    assert fisherinfo.EmptyWindow is fisherinfo.EmptyInput
-    assert fisherinfo.EmptySeries is fisherinfo.EmptyInput
-    assert fisherinfo.RangeTooShort is fisherinfo.DegenerateRange
+def test_each_of_the_15_error_names_is_one_exported_class():
     names = (
         "FisherInfoError EmptyInput MissingValue NonUniformTimeAxis DimensionMismatch "
-        "EmptyWindow DegenerateRange SeriesTooShort RangeTooShort ParseError EmptySeries "
-        "NetworkError NotFound GapInSeries RangeMismatch "
-        "SmallWindowWarning ConstantVariableWarning SosPrecedenceWarning"
+        "DegenerateRange SeriesTooShort ParseError NetworkError NotFound GapInSeries "
+        "RangeMismatch SmallWindowWarning ConstantVariableWarning SosPrecedenceWarning"
     ).split()
-    for name in names:
+    exported = [getattr(fisherinfo, name) for name in names]
+    assert len(set(exported)) == len(names)
+    for name, value in zip(names, exported):
         assert name in fisherinfo.__all__
-        assert issubclass(getattr(fisherinfo, name), (fisherinfo.FisherInfoError, UserWarning))
+        assert issubclass(value, (fisherinfo.FisherInfoError, UserWarning))
+    for removed in ("EmptyWindow", "EmptySeries", "RangeTooShort"):
+        assert not hasattr(fisherinfo, removed)
 
 
-# fisherinfo.__all__ as the package's eager __init__ listed it, order included
+# fisherinfo.__all__, order included
 EXPORTED_NAMES = [
     "__version__",
     "TimeSeriesMatrix", "StateSize", "WindowConfig", "SosConfig", "validate_matrix",
@@ -336,8 +336,8 @@ EXPORTED_NAMES = [
     "ResultDocument", "read_csv", "write_results", "emit_plot",
     "IndicatorRequest", "fetch_indicator", "assemble_demo_matrix", "demo_matrix",
     "FisherInfoError", "EmptyInput", "MissingValue", "NonUniformTimeAxis", "DimensionMismatch",
-    "EmptyWindow", "DegenerateRange", "SeriesTooShort", "RangeTooShort", "ParseError",
-    "EmptySeries", "NetworkError", "NotFound", "GapInSeries", "RangeMismatch",
+    "DegenerateRange", "SeriesTooShort", "ParseError", "NetworkError", "NotFound",
+    "GapInSeries", "RangeMismatch",
     "SmallWindowWarning", "ConstantVariableWarning", "SosPrecedenceWarning",
 ]
 SUBMODULES = ("binning", "core", "engine", "errors", "io", "regimes", "worldbank")

@@ -29,7 +29,6 @@ from fisherinfo import (
     RegimeVerdict,
     ResultDocument,
     SmallWindowWarning,
-    StateSize,
     WindowConfig,
     __version__,
     bin_window,
@@ -227,7 +226,7 @@ def _check_every_output(directory, t0, rows, w, inc, estimate, slope_points):
     start = np.arange(len(fis)) * inc
     oracle_series = FiSeries(time=t0 + start + (w - 1), fi=fis,
                              m_states=[len(c) for c in counts_per_window], start=start,
-                             config=config, state_size=StateSize(deltas))
+                             config=config)
     expected_doc = ResultDocument(metadata=expected_meta, series=oracle_series, verdict=verdict,
                                   peaks=peaks)
     assert files["csv"] == ref.csv_text(expected_doc)

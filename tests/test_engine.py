@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -71,9 +72,8 @@ class TestEstimateStateSize:
         assert delta.deltas[0] == pytest.approx(scale * sample_sd([1, -1, 1, -1]), rel=1e-15)
 
     def test_single_point_range_rejected(self):
-        m = make_matrix([1, 2, 3])
-        with pytest.raises(DegenerateRange):
-            estimate_state_size(m, SosConfig(stable_range=(1, 1)))
+        with pytest.raises(ValueError, match="0 <= first < last, got 1:1"):
+            SosConfig(stable_range=(1, 1))
 
     def test_out_of_bounds_range_rejected(self):
         m = make_matrix([1, 2, 3])
@@ -211,7 +211,7 @@ class TestFiSeries:
     def make(self, **columns):
         fields = dict(time=[1.0, 2.0], fi=[8.0, 2.5], m_states=[1, 3], start=[0, 3])
         fields.update(columns)
-        return FiSeries(**fields, config=WindowConfig(8, 3), state_size=StateSize((1.0,)))
+        return FiSeries(**fields, config=WindowConfig(8, 3))
 
     def test_columns_and_derived_fields(self):
         series = self.make()
@@ -220,6 +220,10 @@ class TestFiSeries:
         assert series.fi.tolist() == [8.0, 2.5]
         assert series.time.tolist() == [1.0, 2.0]
         assert series.m_states.tolist() == [1, 3]
+
+    def test_holds_the_four_columns_and_the_window_config_only(self):
+        names = [field.name for field in dataclasses.fields(FiSeries)]
+        assert names == ["time", "fi", "m_states", "start", "config"]
 
     def test_columns_are_read_only_copies(self):
         fi = np.array([8.0, 2.5])

@@ -1,6 +1,7 @@
 import hashlib
 import io as stdio
 import json
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from unittest import mock
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 import fisherinfo.io as fio
 from fisherinfo import (
     EmptyInput,
-    EmptySeries,
     FiSeries,
     FisherInfoError,
     MissingValue,
@@ -47,8 +47,7 @@ def demo_series():
 
 
 def empty_series():
-    return FiSeries(time=[], fi=[], m_states=[], start=[], config=WindowConfig(8, 1),
-                    state_size=StateSize((1.0,)))
+    return FiSeries(time=[], fi=[], m_states=[], start=[], config=WindowConfig(8, 1))
 
 
 def make_doc(series, verdict=None):
@@ -277,11 +276,27 @@ class TestBulkIngest:
         labels, times, values = validate.call_args.args
         assert isinstance(values, np.ndarray) and values.shape == (8, 2)
 
+    def test_a_large_file_is_read_within_a_bounded_peak(self, tmp_path):
+        rows = np.random.default_rng(1).normal(size=(25_000, 8)).tolist()
+        path = tmp_path / "wide.csv"
+        path.write_text("t," + ",".join(f"v{i}" for i in range(8)) + "\n" + "".join(
+            f"{t}," + ",".join(map(repr, row)) + "\n" for t, row in enumerate(rows)))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            m = read_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.values.shape == (25_000, 8)
+        # about 2.9 times the file: its bytes and its lines are held together while decoding
+        assert peak < 4 * size
+
 
 class TestWriteResults:
     def test_csv_golden_line(self, tmp_path):
         series = FiSeries(time=[1967.0], fi=[2.136], m_states=[4], start=[0],
-                          config=WindowConfig(8, 1), state_size=StateSize((0.5, 1.0)))
+                          config=WindowConfig(8, 1))
         out = tmp_path / "out.csv"
         write_results(make_doc(series), "csv", out)
         lines = out.read_text().splitlines()
@@ -321,7 +336,7 @@ class TestWriteResults:
     @pytest.mark.parametrize("peaks", [(), (0,), (1, 5)])
     def test_json_matches_the_standard_encoder(self, times, verdict, peaks):
         series = FiSeries(time=times, fi=[8.0, 0.1 + 0.2], m_states=[1, 7], start=[0, 3],
-                          config=WindowConfig(8, 3), state_size=StateSize((0.5,)))
+                          config=WindowConfig(8, 3))
         metadata = {"tool": "fisherinfo", "state_size": [0.5], "nested": {"k": None},
                     "empty": {}, "label": "caf\u00e9 \"q\"\n"}
         doc = ResultDocument(metadata=metadata, series=series, peaks=peaks,
@@ -395,7 +410,7 @@ def documents(draw):
         time=draw(st.lists(_TIME, min_size=n, max_size=n)),
         fi=draw(st.lists(fi_value, min_size=n, max_size=n)),
         m_states=draw(st.lists(st.integers(1, 300), min_size=n, max_size=n)),
-        start=start, config=WindowConfig(window, 1), state_size=StateSize((0.5,)),
+        start=start, config=WindowConfig(window, 1),
     )
     verdict = draw(st.none() | st.builds(
         RegimeVerdict, st.sampled_from(list(RegimeCategory)),
@@ -471,7 +486,7 @@ class TestEmitPlot:
 
     def test_empty_series_rejected(self, tmp_path):
         empty = empty_series()
-        with pytest.raises(EmptySeries):
+        with pytest.raises(EmptyInput):
             emit_plot(empty, tmp_path / "never.svg")
 
     @pytest.mark.parametrize("n, one_end", [*((n, False) for n in range(1, 41)),
@@ -483,7 +498,7 @@ class TestEmitPlot:
         start = np.full(n, 3) if one_end else np.cumsum(rng.integers(1, 5, n))
         series = FiSeries(time=1900.0 + 0.5 * start, fi=rng.uniform(0.01, 8.0, n),
                           m_states=rng.integers(1, 9, n), start=start,
-                          config=WindowConfig(8, 1), state_size=StateSize((0.5,)))
+                          config=WindowConfig(8, 1))
         out = stdio.StringIO()
         emit_plot(series, out)
         assert out.getvalue() == ref.svg_text(series)

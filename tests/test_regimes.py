@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fisherinfo import (
     DegenerateRange,
     FiSeries,
-    RangeTooShort,
     RegimeCategory,
     SmallWindowWarning,
     StateSize,
@@ -36,8 +35,7 @@ def as_series(values, increment=3):
     """An FiSeries holding values, its windows increment steps apart."""
     n = len(values)
     return FiSeries(time=np.arange(n) * float(increment), fi=values, m_states=np.ones(n),
-                    start=np.arange(n) * increment, config=WindowConfig(),
-                    state_size=StateSize((1.0,)))
+                    start=np.arange(n) * increment, config=WindowConfig())
 
 
 def loop_local_maxima(values):
@@ -69,15 +67,15 @@ class TestFiSlope:
         assert fi_slope([9.0, 4.0, 3.0, 2.0, 1.0], (1, 4)) == pytest.approx(-1.0, abs=1e-12)
 
     def test_single_point_rejected(self):
-        with pytest.raises(RangeTooShort):
+        with pytest.raises(DegenerateRange):
             fi_slope([2.0])
 
     def test_bad_range_rejected(self):
-        with pytest.raises(RangeTooShort):
+        with pytest.raises(DegenerateRange):
             fi_slope([1.0, 2.0, 3.0], (2, 1))
-        with pytest.raises(RangeTooShort):
+        with pytest.raises(DegenerateRange):
             fi_slope([1.0, 2.0, 3.0], (1, 9))
-        with pytest.raises(RangeTooShort):
+        with pytest.raises(DegenerateRange):
             fi_slope([1.0, 2.0, 3.0], (1, 1))
 
     @given(fi_values)
@@ -163,7 +161,7 @@ class TestClassifyRegime:
             classify_regime([1.0, 2.0], tol=0.0)
 
     def test_too_short_rejected(self):
-        with pytest.raises(RangeTooShort):
+        with pytest.raises(DegenerateRange):
             classify_regime([1.0], tol=0.01)
 
     @pytest.mark.parametrize("index_range", [(2, 1), (0, 4), (1, 1), (-1, 2)])

@@ -310,25 +310,25 @@ class TestAssembleDemoMatrix:
         assert m.values[1, 1] == 20.0
 
     def test_single_series(self):
-        m = assemble_demo_matrix([[(2000, 1.0), (2001, 2.0)]])
+        m = assemble_demo_matrix([[(2000, 1.0), (2001, 2.0)]], labels=("x",))
         assert m.n_vars == 1
-        assert m.labels == ("var1",)
+        assert m.labels == ("x",)
 
     def test_length_mismatch_rejected(self):
         a = [(2000, 1.0), (2001, 2.0)]
         b = [(2000, 10.0)]
         with pytest.raises(RangeMismatch):
-            assemble_demo_matrix([a, b])
+            assemble_demo_matrix([a, b], labels=("x", "y"))
 
     def test_year_mismatch_rejected(self):
         a = [(2000, 1.0), (2001, 2.0)]
         b = [(2000, 10.0), (2002, 20.0)]
         with pytest.raises(RangeMismatch):
-            assemble_demo_matrix([a, b])
+            assemble_demo_matrix([a, b], labels=("x", "y"))
 
     def test_no_series_rejected(self):
         with pytest.raises(RangeMismatch):
-            assemble_demo_matrix([])
+            assemble_demo_matrix([], labels=())
 
 
 class TestShippedFixture:
