@@ -232,18 +232,22 @@ def _check_time_axis(times: np.ndarray) -> None:
         raise NonUniformTimeAxis(f"non-finite time stamp {float(times[j])!r}", row=j)
     if len(times) < 2:
         return
-    spacings = np.diff(times)
-    rising = spacings > 0
+    with np.errstate(over="ignore"):  # a step wider than the float range is inf
+        steps = np.diff(times)
+    rising = steps > 0
     if not rising.all():
         raise NonUniformTimeAxis(
             "time stamps must be strictly increasing", row=int(rising.argmin()) + 1
         )
+    # halved stamps have finite steps in the same ratios; halving every axis
+    # would round subnormal stamps
+    spacings = steps if np.isfinite(steps).all() else np.diff(times * 0.5)
     ref = spacings[0]
     changed = np.abs(spacings - ref) > SPACING_RTOL * np.maximum(abs(ref), np.abs(spacings))
     if changed.any():
         idx = int(changed.argmax())
         raise NonUniformTimeAxis(
             f"spacing changes at step {idx + 1}: "
-            f"{float(spacings[idx])!r} differs from {float(ref)!r}",
+            f"{float(steps[idx])!r} differs from {float(steps[0])!r}",
             row=idx + 1,
         )

@@ -65,10 +65,14 @@ def _fit(series, index_range) -> tuple[float, float, tuple[int, int]]:
     values, steps = _columns(series)
     a, b = inclusive_range(index_range, len(values), "index_range")
     xs, ys = steps[a:b + 1].astype(float), values[a:b + 1]
+    finite = np.isfinite(ys)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"index value at position {a + i} is not finite: {float(ys[i])!r}")
     n = len(ys)
     xbar = math.fsum(xs.tolist()) / n
     ybar = math.fsum(ys.tolist()) / n
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as Python floats give them
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow as Python floats give it
         dx, dy = xs - xbar, ys - ybar
         num = math.fsum((dx * dy).tolist())
     return num / fsum_of_squares(dx), ybar, (a, b)
@@ -83,7 +87,8 @@ def fi_slope(series: FiSeries | Sequence[float], index_range: tuple[int, int] | 
     last) pair of point indices; default is the whole series.
 
     Raises DegenerateRange when index_range lies outside the series or
-    holds fewer than two points.
+    holds fewer than two points, and ValueError, naming the first position,
+    when a value in index_range is nan or infinite.
     """
     return _fit(series, index_range)[0]
 
@@ -97,7 +102,8 @@ def classify_regime(
 
     declining iff slope < -tol, increasing iff slope > +tol, stable
     otherwise; a slope equal to +-tol up to float rounding is stable.
-    tol must be positive.  The slope is fi_slope's, bit for bit.
+    tol must be positive.  The slope is fi_slope's, bit for bit, and a
+    non-finite value in the range raises fi_slope's ValueError.
     """
     if not tol > 0:
         raise ValueError(f"slope tolerance must be positive, got {tol}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import IO
 
 from .core import TimeSeriesMatrix, validate_matrix
 from .errors import GapInSeries, NetworkError, NotFound, ParseError, RangeMismatch
-from .io import _parse_cell, _read_lines
+from .io import read_csv
 
 API_BASE = "https://api.worldbank.org/v2"
 REQUEST_TIMEOUT = 30.0
@@ -31,6 +32,10 @@ DEMO_LABELS = ("gdp_per_capita_usd", "population")
 
 CACHE_DIR_ENV = "FISHERINFO_CACHE_DIR"
 
+# a code names a cache file and a URL path segment, so it holds no separator
+# and is not `.` or `..`
+_CODE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+
 
 @dataclass(frozen=True)
 class IndicatorRequest:
@@ -41,8 +46,12 @@ class IndicatorRequest:
     year_range: tuple[int, int]
 
     def __post_init__(self):
-        if not self.country_code or not self.indicator_id:
-            raise ValueError("country_code and indicator_id must be non-empty")
+        for name, code in (("country_code", self.country_code),
+                           ("indicator_id", self.indicator_id)):
+            if not _CODE.fullmatch(code):
+                raise ValueError(
+                    f"{name} must be a letter or digit followed by letters, digits, "
+                    f"'.', '_' or '-', got {code!r}")
         start, end = self.year_range
         if start > end:
             raise ValueError(f"year range start {start} exceeds end {end}")
@@ -97,8 +106,9 @@ def fetch_indicator(
     Raises NetworkError when offline with no cached copy or when the API
     is unreachable; NotFound for unknown indicator or country; GapInSeries
     when the years served are not exactly the requested range (gaps are
-    reported, never imputed); ParseError for a malformed or non-finite
-    cache row.
+    reported, never imputed).  A cache file is read by read_csv, so a
+    malformed one raises what read_csv raises for the same fault, and a
+    file with more than one value column is a ParseError.
     """
     return _serve(req, cache_dir, offline, timeout)[0]
 
@@ -115,10 +125,14 @@ def _serve(req: IndicatorRequest, cache_dir: str | Path, offline: bool,
                 f"{start}-{end} (looked in {path})"
             )
         _write_cache(path, _fetch_remote(req, timeout))
-    series, digest = _read_cache(path)
-    if [y for y, _ in series] != list(range(start, end + 1)):
+    matrix = read_csv(path)
+    if matrix.n_vars != 1:
+        raise ParseError(f"{path}: expected one value column after the year, "
+                         f"got {matrix.n_vars}")
+    years = range(start, end + 1)
+    if matrix.times.tolist() != list(years):
         raise GapInSeries(f"{path}: cache file does not hold exactly the years {start}-{end}")
-    return [(int(y), v) for y, v in series], (path.name, digest)
+    return list(zip(years, matrix.values[:, 0].tolist())), (path.name, matrix.sources[0][1])
 
 
 def _fetch_remote(req: IndicatorRequest, timeout: float) -> list[tuple[int, float]]:
@@ -173,33 +187,6 @@ def _summarize(years: list[int], limit: int = 8) -> str:
     if len(years) > limit:
         shown += f", ... ({len(years)} total)"
     return shown
-
-
-def _read_cache(path: Path) -> tuple[list[tuple[float, float]], str]:
-    """Parse a `year,value` cache file; also return the sha256 of the bytes parsed.
-
-    A malformed row, a non-finite year or value, or non-UTF-8 text raises
-    ParseError.
-    """
-    lines, digest = _read_lines(str(path))
-    series = []
-    for line_no, line in enumerate(lines[1:], start=2):  # after the header
-        if line.strip():
-            year, _, value = line.partition(",")  # a missing or extra cell spoils value
-            series.append((_cache_cell(year, str(path), line_no, "year"),
-                           _cache_cell(value, str(path), line_no, "value")))
-    return sorted(series), digest
-
-
-def _cache_cell(cell: str, name: str, line_no: int, column: str) -> float:
-    number = _parse_cell(cell, name, line_no, column)
-    if not math.isfinite(number):
-        raise ParseError(
-            f"{name}: line {line_no}, column {column!r}: non-finite value {number!r}",
-            line=line_no,
-            column=column,
-        )
-    return number
 
 
 def _write_series(fh: IO[str], series: list[tuple[int, float]]) -> None:

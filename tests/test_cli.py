@@ -254,6 +254,17 @@ class TestWarnings:
         assert lines[1].startswith("warning: ConstantVariableWarning: ")
         assert ".py:" not in done.stderr
 
+    def test_step_beyond_the_float_range_exits_1_without_a_warning(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("t,a\n-1.7e308,1\n1.7e308,1\n1.79e308,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # shown as the CLI shows them, on stderr
+            code, out, err = run(["compute", str(path), "--sos", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: NonUniformTimeAxis: {path}: line 4: spacing changes at step 2: "
+                       "9.000000000000002e+306 differs from inf\n")
+
     def test_main_restores_the_warning_format(self, worked_csv_path, capsys):
         before = warnings.formatwarning
         with pytest.warns(SosPrecedenceWarning):
@@ -340,7 +351,7 @@ class TestDemo:
             wb.cache_path(req, tmp_path).write_text("\n".join(lines) + "\n")
         code, out, err = run(["demo", "--cache-dir", str(tmp_path)], capsys)
         assert code == 1
-        assert err == f"error: ParseError: {bad}: line 12, column 'value': non-finite value nan\n"
+        assert err == f"error: MissingValue: {bad}: line 12, column 'value': non-finite value nan\n"
         assert out == ""
 
     @staticmethod
@@ -355,14 +366,14 @@ class TestDemo:
     def test_digest_is_of_the_bytes_parsed(self, capsys, tmp_path, monkeypatch):
         cache, paths = self.fixture_copy(tmp_path)
         parsed = [(path.name, hashlib.sha256(path.read_bytes()).hexdigest()) for path in paths]
-        read_cache = wb._read_cache
+        read_csv = wb.read_csv
 
         def read_then_replace(path):
-            result = read_cache(path)
+            result = read_csv(path)
             path.write_bytes(b"year,value\nreplaced after parsing\n")
             return result
 
-        monkeypatch.setattr(wb, "_read_cache", read_then_replace)
+        monkeypatch.setattr(wb, "read_csv", read_then_replace)
         out_json = tmp_path / "demo.json"
         code, _, _ = run(["demo", "--sos", PUBLISHED_SOS, "--cache-dir", str(cache),
                           "--out-json", str(out_json)], capsys)
@@ -452,9 +463,12 @@ class TestFetch:
         assert str(path) in err
         assert out == ""
 
-    @pytest.mark.parametrize("bad_line", ["1961,lots", "1961"], ids=["non_numeric", "one_cell"])
+    @pytest.mark.parametrize("bad_line, fault", [
+        ("1961,lots", "line 3, column 'value': cannot parse 'lots' as a number"),
+        ("1961", "line 3 has 1 cells, expected 2"),
+    ], ids=["non_numeric", "one_cell"])
     def test_malformed_cache_exits_1_naming_file_line_and_column(
-        self, capsys, tmp_path, bad_line
+        self, capsys, tmp_path, bad_line, fault
     ):
         req = wb.IndicatorRequest(wb.DEMO_COUNTRY, wb.TOTAL_POPULATION, wb.DEMO_YEARS)
         path = wb.cache_path(req, tmp_path)
@@ -464,8 +478,21 @@ class TestFetch:
             capsys,
         )
         assert code == 1
-        assert "ParseError" in err
-        assert f"{path}: line 3, column 'value'" in err
+        assert err == f"error: ParseError: {path}: {fault}\n"
+
+    @pytest.mark.parametrize("mode", [["--offline"], []], ids=["offline", "live"])
+    def test_country_code_cannot_leave_the_cache_dir(self, capsys, tmp_path, monkeypatch, mode):
+        req = wb.IndicatorRequest(wb.DEMO_COUNTRY, wb.TOTAL_POPULATION, wb.DEMO_YEARS)
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        planted = shutil.copy(wb.cache_path(req, wb.fixture_cache_dir()), outside)
+        monkeypatch.setattr(wb, "_get_json", mock.Mock(side_effect=AssertionError("fetched")))
+        with pytest.raises(SystemExit) as exc:
+            main(["fetch", "--country", "../outside/USA", "--indicator", wb.TOTAL_POPULATION,
+                  *mode, "--cache-dir", str(tmp_path / "cache")])
+        assert exc.value.code == 2
+        assert "country_code must be a letter or digit" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [outside, Path(planted)]
 
     def test_non_utf8_cache_exits_1_naming_the_file(self, capsys, tmp_path):
         req = wb.IndicatorRequest(wb.DEMO_COUNTRY, wb.TOTAL_POPULATION, wb.DEMO_YEARS)
@@ -510,6 +537,51 @@ class TestFetch:
         assert "exceeds" in capsys.readouterr().err
 
 
+def demo_cache_file(indicator, directory):
+    return wb.cache_path(wb.IndicatorRequest(wb.DEMO_COUNTRY, indicator, wb.DEMO_YEARS), directory)
+
+
+def line_12(text):
+    """An edit of a cache file's lines: line 12, the year 1970, becomes text."""
+    return lambda lines: lines[:11] + [text] + lines[12:]
+
+
+class TestMalformedCache:
+    """A malformed cache fails fetch and demo alike, with the error compute gives the same fault."""
+
+    @pytest.mark.parametrize("edit, fault", [
+        (line_12("1970,lots"), "ParseError: {}: line 12, column 'value': "),
+        (line_12("1970"), "ParseError: {}: line 12 has 1 cells"),
+        (line_12("1970,nan"), "MissingValue: {}: line 12, column 'value': "),
+        (line_12("inf,1.0"), "NonUniformTimeAxis: {}: line 12: "),
+        (line_12("1969,1.0"), "NonUniformTimeAxis: {}: line 12: "),
+        (lambda lines: lines[:10] + [lines[11], lines[10]] + lines[12:],
+         "NonUniformTimeAxis: {}: line 12: "),
+        (line_12("1970.5,1.0"), "NonUniformTimeAxis: {}: line 12: "),
+        (lambda lines: lines[:1], "EmptyInput: {}: header only"),
+        (lambda lines: [line.split(",")[0] for line in lines],
+         "EmptyInput: {}: header has no variable columns"),
+        (lambda lines: [line + ",1" for line in lines],
+         "ParseError: {}: expected one value column"),
+        (lambda lines: lines[:-1], "GapInSeries: {}: "),
+        (lambda lines: lines[:1] + [f"{int(line[:4]) + 1}{line[4:]}" for line in lines[1:]],
+         "GapInSeries: {}: "),
+    ], ids=["non_numeric", "one_cell", "nan_value", "inf_year", "duplicate_year", "unsorted",
+            "uneven_year", "header_only", "one_column", "two_value_columns", "truncated",
+            "shifted"])
+    @pytest.mark.parametrize("command", ["fetch", "demo"])
+    def test_exits_1_naming_the_file(self, capsys, tmp_path, command, edit, fault):
+        lines = demo_cache_file(wb.GDP_PER_CAPITA, wb.fixture_cache_dir()).read_text().splitlines()
+        assert lines[11].startswith("1970,")
+        gdp = demo_cache_file(wb.GDP_PER_CAPITA, tmp_path)
+        gdp.write_text("\n".join(edit(lines)) + "\n")
+        shutil.copy(demo_cache_file(wb.TOTAL_POPULATION, wb.fixture_cache_dir()), tmp_path)
+        argv = ["fetch", "--indicator", wb.GDP_PER_CAPITA] if command == "fetch" else ["demo"]
+        code, out, err = run(argv + ["--offline", "--cache-dir", str(tmp_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: " + fault.format(gdp))
+
+
 MISSING = "/no/such/input.csv"
 
 
@@ -532,6 +604,8 @@ class TestExitCodes:
         ["compute", MISSING, "--stable-range", "3:3"],
         ["estimate-sos", MISSING, "--stable-range", "0:0"],
         ["compute", MISSING, "--slope-range", "5:5"],
+        ["fetch", "--offline", "--cache-dir", MISSING, "--country", "../outside/USA"],
+        ["fetch", "--offline", "--cache-dir", MISSING, "--indicator", "SP.POP/../X"],
     ])
     def test_bad_argument_exits_2_even_without_input(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -88,6 +88,20 @@ class TestValidateMatrix:
             validate_matrix(["y"], times, [[0]] * 3)
         assert exc.value.row == 2
 
+    def test_step_beyond_the_float_range_is_compared(self):
+        # the steps are inf and 9e306: inf - inf would compare as no change
+        with pytest.raises(NonUniformTimeAxis) as exc:
+            validate_matrix(["a"], [-1.7e308, 1.7e308, 1.79e308], [[1.0]] * 3)
+        assert str(exc.value) == (
+            "spacing changes at step 2: 9.000000000000002e+306 differs from inf")
+        assert exc.value.row == 2
+
+    @pytest.mark.parametrize("times", [[-1.7e308, 1.7e308], [-1.2e308, 0.0, 1.2e308],
+                                       [-1.7976931348623157e308, 1.7976931348623157e308]])
+    def test_widest_uniform_axes_are_accepted(self, times):
+        # tier-1 turns a RuntimeWarning into an error
+        assert validate_matrix(["a"], times, [[1.0]] * len(times)).times.tolist() == times
+
     def test_nan_cell_reported_with_position(self):
         with pytest.raises(MissingValue) as exc:
             validate_matrix(["a", "b"], [1, 2], [[0.0, 1.0], [2.0, float("nan")]])

@@ -102,6 +102,21 @@ class TestFiSlope:
         assert fi_slope(both_ways) == 0.0
 
 
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("analyse", [fi_slope, classify_regime])
+    def test_first_non_finite_position_is_named(self, analyse, bad):
+        with pytest.raises(ValueError) as exc:
+            analyse([1.0, 2.0, 3.0, bad, math.nan])
+        assert str(exc.value) == f"index value at position 3 is not finite: {bad!r}"
+
+    def test_only_the_analysed_range_is_read(self):
+        values = [math.nan, 1.0, 2.0, 3.0, math.inf]
+        assert classify_regime(values, index_range=(1, 3)).slope == 1.0
+        with pytest.raises(ValueError, match="position 4 is not finite: inf"):
+            fi_slope(values, (2, 4))
+
+
 def generator_slope(values, first, last):
     """fi_slope over positions first..last as plain Python floats compute it."""
     xs = [float(x) for x in range(first, last + 1)]

@@ -2,18 +2,25 @@ import hashlib
 import http.client
 import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import fisherinfo.worldbank as wb
 from fisherinfo import (
+    EmptyInput,
     GapInSeries,
     IndicatorRequest,
+    MissingValue,
     NetworkError,
+    NonUniformTimeAxis,
     NotFound,
     ParseError,
     RangeMismatch,
@@ -93,6 +100,18 @@ class TestIndicatorRequest:
         with pytest.raises(ValueError):
             IndicatorRequest("USA", "", (1960, 1961))
 
+    @pytest.mark.parametrize("code", ["../outside/USA", "a/b", "a\\b", "US A", "USA?x=1",
+                                      "US%2F", "USA\n", "ÜSA", ".", "..", ".USA", "-USA"])
+    def test_code_that_is_not_one_plain_path_segment_rejected(self, code):
+        with pytest.raises(ValueError, match="followed by letters, digits"):
+            IndicatorRequest(code, "SP.POP.TOTL", (1960, 1961))
+        with pytest.raises(ValueError, match="followed by letters, digits"):
+            IndicatorRequest("USA", code, (1960, 1961))
+
+    def test_code_characters_accepted(self):
+        req = IndicatorRequest("1W", "NY.GDP.PCAP.CD_x-1", (1960, 1961))
+        assert req.indicator_id == "NY.GDP.PCAP.CD_x-1"
+
 
 class TestFetchIndicator:
     def test_fetch_sorts_years_and_caches(self, fake_api, tmp_path):
@@ -118,6 +137,20 @@ class TestFetchIndicator:
 
         monkeypatch.setattr(wb, "_write_cache", write_other_values)
         assert fetch_indicator(req, tmp_path) == [(2000, 10.0), (2001, 20.0)]
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+    @example([5e-324, -2.2250738585072014e-308, 1e308, -1e308, -0.0, 0.0, 1.7976931348623157e308])
+    def test_live_fetch_serves_every_finite_float_bit_for_bit(self, fake_api, values):
+        # written with repr, read back by read_csv's bulk parse
+        years = range(2000, 2000 + len(values))
+        fake_api["payload"] = wb_payload(wb_records(zip(years, values)))
+        req = IndicatorRequest("USA", "X.Y", (years[0], years[-1]))
+        with tempfile.TemporaryDirectory() as cache:
+            series = fetch_indicator(req, cache)
+            assert wb.cache_path(req, cache).exists()
+        assert [(y, v.hex()) for y, v in series] == [(y, v.hex()) for y, v in zip(years, values)]
 
     def test_second_call_served_from_cache(self, fake_api, tmp_path):
         req = IndicatorRequest("USA", "X.Y", (2000, 2002))
@@ -244,34 +277,40 @@ class TestCacheFiles:
         return path
 
     @pytest.mark.parametrize(
-        "bad_line, column",
-        [("2001,abc", "value"), ("20x1,2.0", "year"), ("2001", "value"), ("2001,2.0,9", "value")],
+        "bad_line, column, fault",
+        [("2001,abc", "value", ", column 'value': cannot parse 'abc' as a number"),
+         ("20x1,2.0", "year", ", column 'year': cannot parse '20x1' as a number"),
+         ("2001", None, " has 1 cells, expected 2"),
+         ("2001,2.0,9", None, " has 3 cells, expected 2")],
         ids=["non_numeric_value", "non_numeric_year", "one_cell", "extra_cell"],
     )
-    def test_malformed_row_names_file_line_and_column(self, fake_api, tmp_path, bad_line, column):
+    def test_malformed_row_names_file_line_and_column(self, fake_api, tmp_path, bad_line, column,
+                                                      fault):
         path = self.write_cache(tmp_path, f"year,value\n2000,1.0\n{bad_line}\n2002,3.0\n")
         with pytest.raises(ParseError) as exc:
             fetch_indicator(self.REQ, tmp_path, offline=True)
-        assert exc.value.line == 3
-        assert exc.value.column == column
-        assert str(path) in str(exc.value)
-        assert f"line 3, column {column!r}" in str(exc.value)
+        assert str(exc.value) == f"{path}: line 3{fault}"
+        assert (exc.value.line, exc.value.column) == (3, column)
         assert fake_api["calls"] == 0
 
     @pytest.mark.parametrize(
-        "bad_line, column, shown",
-        [("2001,nan", "value", "nan"), ("2001,-inf", "value", "-inf"),
-         ("2001,1e999", "value", "inf"), ("nan,2.0", "year", "nan")],
+        "bad_line, error, fault",
+        [("2001,nan", MissingValue, "line 3, column 'value': non-finite value nan"),
+         ("2001,-inf", MissingValue, "line 3, column 'value': non-finite value -inf"),
+         ("2001,1e999", MissingValue, "line 3, column 'value': non-finite value inf"),
+         ("nan,2.0", NonUniformTimeAxis, "line 3: non-finite time stamp nan")],
         ids=["nan_value", "minus_inf_value", "overflowing_value", "nan_year"],
     )
     def test_non_finite_cell_names_file_line_and_column(
-        self, fake_api, tmp_path, bad_line, column, shown
+        self, fake_api, tmp_path, bad_line, error, fault
     ):
         path = self.write_cache(tmp_path, f"year,value\n2000,1.0\n{bad_line}\n2002,3.0\n")
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(error) as exc:
             fetch_indicator(self.REQ, tmp_path, offline=True)
-        assert str(exc.value) == f"{path}: line 3, column {column!r}: non-finite value {shown}"
-        assert (exc.value.line, exc.value.column) == (3, column)
+        assert str(exc.value) == f"{path}: {fault}"
+        assert exc.value.row == 1  # the second data row
+        if error is MissingValue:
+            assert exc.value.column == 0  # the one value column
         assert fake_api["calls"] == 0
 
     def test_unparsable_cell_shows_the_characters_float_refuses(self, tmp_path):
@@ -281,22 +320,52 @@ class TestCacheFiles:
         assert str(exc.value) == f"{path}: line 3, column 'value': cannot parse '\\x1c2' as a number"
 
     @pytest.mark.parametrize(
-        "years",
-        [(2000, 2001), (2000, 2002, 2003), (2000, 2001, 2001, 2002), (2000, 2002), ()],
-        ids=["truncated", "extra_year", "duplicate_year", "inner_gap", "header_only"],
+        "years, error, fault",
+        [((2000, 2001), GapInSeries, "cache file does not hold exactly the years 2000-2002"),
+         ((2000, 2002, 2003), NonUniformTimeAxis,
+          "line 4: spacing changes at step 2: 1.0 differs from 2.0"),
+         ((2000, 2001, 2001, 2002), NonUniformTimeAxis,
+          "line 4: time stamps must be strictly increasing"),
+         ((2000, 2002), GapInSeries, "cache file does not hold exactly the years 2000-2002"),
+         ((), EmptyInput, "header only, no data rows"),
+         ((2001, 2002, 2003), GapInSeries, "cache file does not hold exactly the years 2000-2002")],
+        ids=["truncated", "extra_year", "duplicate_year", "inner_gap", "header_only", "shifted"],
     )
-    def test_cache_must_hold_exactly_the_requested_years(self, fake_api, tmp_path, years):
+    def test_cache_must_hold_exactly_the_requested_years(self, fake_api, tmp_path, years,
+                                                         error, fault):
         path = self.write_cache(tmp_path, "year,value\n" + "".join(f"{y},1.5\n" for y in years))
-        with pytest.raises(GapInSeries) as exc:
+        with pytest.raises(error) as exc:
             fetch_indicator(self.REQ, tmp_path)
-        assert str(path) in str(exc.value)
+        assert str(exc.value) == f"{path}: {fault}"
         assert fake_api["calls"] == 0
 
-    def test_unsorted_complete_cache_is_served_ascending(self, tmp_path):
-        self.write_cache(tmp_path, "year,value\n2002,3.0\n2000,1.0\n\n2001,2.0\n")
+    @pytest.mark.parametrize("text, error, fault", [
+        ("year\n2000\n2001\n2002\n", EmptyInput, "header has no variable columns"),
+        ("year,value,other\n2000,1,9\n2001,2,9\n2002,3,9\n", ParseError,
+         "expected one value column after the year, got 2"),
+    ], ids=["no_value_column", "two_value_columns"])
+    def test_cache_must_hold_one_value_column(self, fake_api, tmp_path, text, error, fault):
+        path = self.write_cache(tmp_path, text)
+        with pytest.raises(error) as exc:
+            fetch_indicator(self.REQ, tmp_path)
+        assert str(exc.value) == f"{path}: {fault}"
+        assert fake_api["calls"] == 0
+
+    def test_unsorted_cache_is_refused_naming_the_line(self, tmp_path):
+        path = self.write_cache(tmp_path, "year,value\n2002,3.0\n2000,1.0\n\n2001,2.0\n")
+        with pytest.raises(NonUniformTimeAxis) as exc:
+            fetch_indicator(self.REQ, tmp_path, offline=True)
+        assert str(exc.value) == f"{path}: line 3: time stamps must be strictly increasing"
+        assert exc.value.row == 1
+
+    def test_any_layout_read_csv_accepts_is_served(self, tmp_path):
+        # CRLF, a BOM, blank lines, padded and quoted cells, `2000.0`-style years
+        self.write_cache(tmp_path, '\ufeffyear,value\r\n 2000.0 , 1.0\r\n\r\n'
+                                   '2001,"2.5"\r\n2002.0,-0.0 \r\n')
         series = fetch_indicator(self.REQ, tmp_path, offline=True)
-        assert series == [(2000, 1.0), (2001, 2.0), (2002, 3.0)]
-        assert all(type(y) is int for y, _ in series)
+        assert series == [(2000, 1.0), (2001, 2.5), (2002, 0.0)]
+        assert [type(y) for y, _ in series] == [int] * 3
+        assert math.copysign(1.0, series[2][1]) == -1.0
 
 
 class TestAssembleDemoMatrix:
