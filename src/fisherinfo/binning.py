@@ -73,6 +73,8 @@ def _sweep(values, delta, window: int, increment: int):
         raise DimensionMismatch(
             f"points have {pts.shape[1]} variables but state size has {d.shape[0]}"
         )
+    if len(pts) < window:  # no full window fits
+        return
 
     windows = np.lib.stride_tricks.sliding_window_view(pts, window, axis=0)[::increment]
     step = max(1, BLOCK_VALUES // window)

@@ -71,25 +71,18 @@ def _sos_list(text: str) -> StateSize:
         ) from None
 
 
-def _index_range(text: str) -> tuple[int, int]:
-    try:
-        a_text, b_text = text.split(":")
-        return int(a_text), int(b_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an index pair 'first:last'") from None
-
-
-def _label_range(text: str) -> tuple[float, float]:
-    try:
-        a_text, b_text = text.split(":")
-        a, b = float(a_text), float(b_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a time-label pair 'first:last'"
-        ) from None
-    if not a < b:  # also refuses a nan bound
-        raise argparse.ArgumentTypeError(f"need first < last, got {text!r}")
-    return a, b
+def _pair(convert, noun: str):
+    """An argparse type reading 'first:last' with convert, refusing first >= last."""
+    def parse(text: str) -> tuple:
+        try:
+            a_text, b_text = text.split(":")
+            a, b = convert(a_text), convert(b_text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {noun} pair 'first:last'") from None
+        if not a < b:  # also refuses a nan bound
+            raise argparse.ArgumentTypeError(f"need first < last, got {text!r}")
+        return a, b
+    return parse
 
 
 # argparse reads a value that starts with '-' as an option name
@@ -155,7 +148,7 @@ def _add_pipeline_options(cmd: argparse.ArgumentParser) -> None:
     _add_estimation_options(cmd)
     cmd.add_argument("--slope-tol", type=_positive_float, default=DEFAULT_SLOPE_TOL,
                      help=f"slope tolerance for the regime verdict (default {DEFAULT_SLOPE_TOL})")
-    cmd.add_argument("--slope-range", type=_label_range, default=None, metavar="FIRST:LAST",
+    cmd.add_argument("--slope-range", type=_pair(float, "a time-label"), metavar="FIRST:LAST",
                      help="time labels as written in the CSV's first column, inclusive, "
                           "analyzed for the verdict (default: all points); "
                           + _EQUALS_FORM.format("--slope-range"))
@@ -167,7 +160,7 @@ def _add_pipeline_options(cmd: argparse.ArgumentParser) -> None:
 def _add_estimation_options(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--k", type=float, default=None,
                      help=f"Chebyshev multiplier for estimation (default {DEFAULT_K:g})")
-    cmd.add_argument("--stable-range", type=_index_range, default=None, metavar="FIRST:LAST",
+    cmd.add_argument("--stable-range", type=_pair(int, "an index"), metavar="FIRST:LAST",
                      help="0-based data-row indices used to estimate state sizes, "
                           "inclusive (default: all rows); "
                           + _EQUALS_FORM.format("--stable-range"))

@@ -1,8 +1,8 @@
 """CSV ingestion, result serialization, and static SVG plots.
 
 Input CSV: UTF-8, comma-separated, `.` decimal point, first row a header,
-first column the time label, remaining columns variables.  LF or CRLF line
-endings are both accepted.  Output files are deterministic: identical
+first column the time label, remaining columns variables.  LF, CRLF and CR
+line endings are accepted.  Output files are deterministic: identical
 inputs and configuration produce byte-identical bytes.
 """
 from __future__ import annotations
@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, repeat
@@ -51,40 +52,47 @@ def format_time_labels(times: np.ndarray) -> list[str]:
 def read_csv(source: str | Path | IO[str]) -> TimeSeriesMatrix:
     """Parse a time-series CSV and validate it into a TimeSeriesMatrix.
 
-    Raises ParseError, naming the file, for a cell that is not a number
-    (with its 1-based line and column name), for text that is not UTF-8 and
-    for bad CSV syntax.  Validation errors (EmptyInput, MissingValue,
-    NonUniformTimeAxis) propagate from validate_matrix; a MissingValue or
-    NonUniformTimeAxis is re-raised with a message naming the file and the
-    CSV line, keeping its row and column attributes.
+    Raises ParseError, naming the file and the 1-based line, for a cell that
+    is not a number (also naming its column), for bad CSV syntax and for text
+    that is not UTF-8 (a stream names no line).  Validation errors
+    (EmptyInput, MissingValue, NonUniformTimeAxis) propagate from
+    validate_matrix; a MissingValue or NonUniformTimeAxis is re-raised with
+    a message naming the file and the CSV line, keeping its row and column.
 
     A path is read once, and the matrix's sources pairs the path as given
     with the sha256 of the bytes parsed; a stream's matrix has no sources.
     """
-    if hasattr(source, "read"):
-        name = getattr(source, "name", "<stream>")
-        return _parse_lines(list(_checked(source, name)), name)
-    name = str(Path(source))
-    lines, digest = _read_lines(name)
-    return replace(_parse_lines(lines, name), sources=((os.fspath(source), digest),))
+    stream = hasattr(source, "read")
+    name = getattr(source, "name", "<stream>") if stream else str(Path(source))
+    data = b"" if stream else Path(name).read_bytes()
+    sources = () if stream else ((os.fspath(source), hashlib.sha256(data).hexdigest()),)
+    try:
+        lines = list(source if stream else
+                     io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        del data  # decoded: the parse holds the lines, not the bytes as well
+        reader = csv.reader(lines)
+        matrix = _parse_lines(lines, reader, name)
+    except UnicodeDecodeError as exc:
+        if stream:  # its wrapper decodes in chunks, so exc.start is no place in the text
+            raise ParseError(f"{name}: not UTF-8 text ({exc.reason})") from None
+        # decoded again, each bad byte is a lone surrogate: count the line ends before the first
+        head = re.split("[\udc80-\udcff]", data.decode("utf-8", "surrogateescape"), maxsplit=1)[0]
+        line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+        raise ParseError(f"{name}: line {line}: not UTF-8 text ({exc.reason})", line=line) from None
+    except csv.Error as exc:  # only the reader raises it, and it counts lines
+        raise ParseError(f"{name}: line {reader.line_num}: {exc}", line=reader.line_num) from None
+    return replace(matrix, sources=sources)
 
 
-def _read_lines(name: str) -> tuple[list[str], str]:
-    """The lines of UTF-8 file name, ends kept, and the sha256 of the bytes they decode from."""
-    data = Path(name).read_bytes()
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-    return list(_checked(text, name)), hashlib.sha256(data).hexdigest()
-
-
-def _parse_lines(lines: list[str], name: str) -> TimeSeriesMatrix:
+def _parse_lines(lines: list[str], reader, name: str) -> TimeSeriesMatrix:
     """Parse the body in one numpy call; the per-cell reader takes over when that fails.
 
-    The per-cell reader is the reference: it runs whenever the bulk parse
-    refuses the body or the grid does not validate, and it either returns
-    the same matrix or raises the error naming the file, line and column.
+    The per-cell reader, reader (a csv.reader over lines), is the reference:
+    it runs whenever the bulk parse refuses the body or the grid does not
+    validate, and it either returns the same matrix or raises the error
+    naming the file, line and column.
     """
-    reader = csv.reader(lines)
-    header = next(_checked(reader, name), None)
+    header = next(reader, None)
     if header is None or len(header) == 0:
         raise EmptyInput(f"{name}: empty file, expected a header row")
     header = [cell.strip() for cell in header]
@@ -130,7 +138,7 @@ def _read_cells(reader, header: list[str], name: str) -> TimeSeriesMatrix:
     times: list[float] = []
     values: list[list[float]] = []
     line_nos: list[int] = []  # CSV line of each data row
-    for row in _checked(reader, name):
+    for row in reader:
         line_no = reader.line_num  # the line the row ends on: a quoted cell may span lines
         try:
             # float() itself ignores the whitespace around a number
@@ -164,17 +172,6 @@ def _read_cells(reader, header: list[str], name: str) -> TimeSeriesMatrix:
         ) from None
     except NonUniformTimeAxis as exc:
         raise NonUniformTimeAxis(f"{name}: line {line_nos[exc.row]}: {exc}", row=exc.row) from None
-
-
-def _checked(rows, name: str):
-    """Yield from a text file or CSV reader; a decode or CSV error becomes a ParseError."""
-    try:
-        yield from rows
-    except UnicodeDecodeError as exc:
-        # decoding runs in chunks, so the failing position is not a line
-        raise ParseError(f"{name}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:  # only a CSV reader raises it, and it counts lines
-        raise ParseError(f"{name}: line {rows.line_num}: {exc}", line=rows.line_num) from None
 
 
 def _parse_cell(cell: str, name: str, line_no: int, column: str) -> float:

@@ -37,6 +37,11 @@ MUTANTS = [
     ("regimes.py", "bound = tol * (1.0 + _TOL_REL_SLACK)", "bound = tol"),
     # the fault line taken one line early
     ("io.py", "line_no = reader.line_num ", "line_no = reader.line_num - 1 "),
+    # the CSV syntax fault taken one line early
+    ("io.py", 'line {reader.line_num}: {exc}", line=reader.line_num)',
+     'line {reader.line_num - 1}: {exc}", line=reader.line_num - 1)'),
+    # the bad byte's line counted one too low
+    ("io.py", 'line = 1 + head.count("\\n")', 'line = head.count("\\n")'),
     # a spacing exactly on the tolerance refused
     ("core.py", "np.abs(spacings - ref) > SPACING_RTOL", "np.abs(spacings - ref) >= SPACING_RTOL"),
     # a one-point stable range accepted

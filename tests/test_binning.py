@@ -295,6 +295,17 @@ class TestBinWindows:
         self.check(distinct, [0.0], w, 1)  # w states of one point
         self.check(distinct, [math.inf], w, 1)  # one state of w points
 
+    @pytest.mark.parametrize("rows, w", [(0, 2), (3, 8), (7, 8), (127, 128)])
+    def test_a_series_shorter_than_one_window_has_no_windows(self, rows, w):
+        self.check(np.zeros((rows, 2)), [1.0, 1.0], w, 1)
+
+    @pytest.mark.parametrize("deltas, error", [
+        ([1.0, -1.0], ValueError), ([1.0, math.nan], ValueError), ([1.0], DimensionMismatch),
+    ])
+    def test_a_series_shorter_than_one_window_still_checks_the_state_size(self, deltas, error):
+        with pytest.raises(error):
+            bin_windows(np.zeros((3, 2)), deltas, 8)
+
     def test_a_long_series_is_swept_within_a_bounded_peak(self):
         values = np.random.default_rng(1).normal(size=(100_000, 2))
         deltas = (2 * values.std(axis=0, ddof=1)).tolist()

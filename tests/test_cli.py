@@ -503,7 +503,7 @@ class TestFetch:
             capsys,
         )
         assert code == 1
-        assert err == f"error: ParseError: {path}: not UTF-8 text (invalid start byte)\n"
+        assert err == f"error: ParseError: {path}: line 2: not UTF-8 text (invalid start byte)\n"
 
     @pytest.mark.parametrize("records", [
         [{"date": "2000a", "value": 1.0}],
@@ -606,6 +606,7 @@ class TestExitCodes:
         ["compute", MISSING, "--slope-range", "5:5"],
         ["fetch", "--offline", "--cache-dir", MISSING, "--country", "../outside/USA"],
         ["fetch", "--offline", "--cache-dir", MISSING, "--indicator", "SP.POP/../X"],
+        ["compute", MISSING, "--stable-range", "3:1"],
     ])
     def test_bad_argument_exits_2_even_without_input(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -640,6 +641,22 @@ class TestExitCodes:
         assert err.startswith("usage: fisherinfo compute [-h]")
         assert f"error: argument --slope-range: need first < last, got '{pair}'" in err
         assert "No such file" not in err
+
+    @pytest.mark.parametrize("option, pair, message", [
+        ("--stable-range", "3:1", "need first < last, got '3:1'"),
+        ("--stable-range", "1.5:3", "'1.5:3' is not an index pair 'first:last'"),
+        ("--stable-range", "1:2:3", "'1:2:3' is not an index pair 'first:last'"),
+        ("--slope-range", "2000:1990", "need first < last, got '2000:1990'"),
+        ("--slope-range", "a:1", "'a:1' is not a time-label pair 'first:last'"),
+        ("--slope-range", "1990", "'1990' is not a time-label pair 'first:last'"),
+    ])
+    def test_range_pairs_are_refused_by_one_parser(self, capsys, option, pair, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", MISSING, f"{option}={pair}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fisherinfo compute [-h]")
+        assert err.endswith(f"\nfisherinfo compute: error: argument {option}: {message}\n")
 
     @pytest.mark.parametrize("command", ["compute", "estimate-sos"])
     def test_negative_stable_range_reaches_its_check_in_the_equals_form(self, capsys, command):
