@@ -311,6 +311,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
+        # argparse hands '--opt=--' an empty list without calling the option's type
+        for dest, value in vars(args).items():
+            if isinstance(value, list):
+                args.command_parser.error(f"argument --{dest.replace('_', '-')}: "
+                                          "expected one argument")
         try:
             _configure(args)
         except ValueError as exc:

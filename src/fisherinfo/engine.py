@@ -20,7 +20,6 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -82,7 +81,12 @@ class FiSeries:
 
 
 def sample_sd(xs: Sequence[float]) -> float:
-    """Sample standard deviation (divisor N-1) of a sequence of reals."""
+    """Sample standard deviation (divisor N-1) of a sequence of reals.
+
+    The mean and the sum of squared deviations are math.fsum sums, each
+    square the correctly rounded IEEE product x * x, so the result rests on
+    IEEE-754 basic operations, sqrt and fsum alone.
+    """
     n = len(xs)
     if n < 2:
         raise DegenerateRange(f"need at least 2 points for a standard deviation, got {n}")
@@ -101,11 +105,16 @@ def _sd(values: np.ndarray, n: int) -> float:
 
 
 def fsum_of_squares(deviations: np.ndarray) -> float:
-    """math.fsum of the squares, each bit for bit Python's `x ** 2`, that is libm pow(|x|, 2).
+    """math.fsum of the squares, each the IEEE product x * x, which rounds correctly.
 
-    numpy's x * x can differ in the last bit; a finite square that overflows is an OverflowError.
+    A finite value whose square overflows raises OverflowError, as Python's x ** 2 does.
     """
-    return math.fsum(map(math.pow, np.abs(deviations).tolist(), repeat(2.0)))
+    with np.errstate(over="ignore"):
+        squares = deviations * deviations
+    total = math.fsum(squares.tolist())
+    if not math.isfinite(total) and np.isfinite(deviations[np.isinf(squares)]).any():
+        raise OverflowError("a finite value has an infinite square")
+    return total
 
 
 def estimate_state_size(matrix: TimeSeriesMatrix, cfg: SosConfig | None = None) -> StateSize:
@@ -147,7 +156,8 @@ def fisher_index(counts: Sequence[int]) -> float:
     counts) and its amplitude the square root of that.  The amplitude
     sequence is padded with zeros at both ends before summing squared
     successive differences, so a lone state contributes its full
-    probability twice and FI(single state) = 8 exactly.
+    probability twice and FI(single state) = 8 exactly.  Each difference is
+    squared as the IEEE product d * d and the squares summed by math.fsum.
 
     Raises ValueError for no counts or a count that is not an integer >= 1.
     """
@@ -158,7 +168,7 @@ def fisher_index(counts: Sequence[int]) -> float:
     if total == 0 or min(counts) < 1:
         raise ValueError(f"state counts must be integers >= 1, at least one, got {counts!r}")
     q = (0.0, *(math.sqrt(c / total) for c in counts), 0.0)
-    return 4.0 * math.fsum((q[i] - q[i + 1]) ** 2 for i in range(len(q) - 1))
+    return 4.0 * math.fsum((a - b) * (a - b) for a, b in zip(q, q[1:]))
 
 
 def window_count(t_count: int, cfg: WindowConfig) -> int:

@@ -45,7 +45,8 @@ def brute_fi_from_counts(counts, window_length):
     q.append(0.0)
     total = 0.0
     for i in range(len(q) - 1):
-        total += (q[i] - q[i + 1]) ** 2
+        d = q[i] - q[i + 1]
+        total += d * d
     return 4.0 * total
 
 
@@ -61,7 +62,7 @@ def brute_sample_sd(values):
     mean = sum(values) / n
     acc = 0.0
     for v in values:
-        acc += (v - mean) ** 2
+        acc += (v - mean) * (v - mean)
     return math.sqrt(acc / (n - 1))
 
 

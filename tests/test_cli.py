@@ -1,16 +1,23 @@
+import argparse
 import builtins
+import contextlib
 import gc
 import hashlib
+import io
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fisherinfo.cli as cli
 import fisherinfo.io as fio
@@ -225,6 +232,15 @@ class TestCompute:
         with pytest.raises(SystemExit) as exc:
             main(["compute", str(worked_csv_path), "--stable-range", "5:2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("rows, listed", [(17, 10), (18, 0)])
+    def test_points_are_listed_one_per_line_up_to_ten(self, capsys, tmp_path, rows, listed):
+        path = tmp_path / "in.csv"
+        path.write_text("t,a\n" + "".join(f"{t},{t % 3}\n" for t in range(rows)))
+        code, out, _ = run(["compute", str(path), "--sos", "1"], capsys)
+        assert code == 0
+        assert f"{rows - 7} index point(s)" in out
+        assert len([line for line in out.splitlines() if line.startswith("  t=")]) == listed
 
     def test_small_window_warns_but_runs(self, worked_csv_path, capsys):
         from fisherinfo import SmallWindowWarning
@@ -584,6 +600,37 @@ class TestMalformedCache:
 
 MISSING = "/no/such/input.csv"
 
+# what each subcommand reads: none of them may run before an argument is accepted
+READERS = ("read_csv", "demo_matrix", "fetch_indicator")
+
+
+def subcommand_options() -> dict[str, list[tuple[str, bool]]]:
+    """(option, takes a value) for every option of each subcommand but --help."""
+    (sub,) = (action for action in cli.build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction))
+    return {name: [(option, action.nargs != 0) for action in cmd._actions
+                   for option in action.option_strings if option not in ("-h", "--help")]
+            for name, cmd in sub.choices.items()}
+
+
+OPTIONS = subcommand_options()
+
+# arguments that come before the options: an input, cache and network off where one exists
+LEAD = {
+    "compute": ["compute", MISSING],
+    "estimate-sos": ["estimate-sos", MISSING],
+    "demo": ["demo", "--cache-dir", MISSING],
+    "fetch": ["fetch", "--offline", "--cache-dir", MISSING],
+}
+
+
+@contextlib.contextmanager
+def counted_reads():
+    """Count the calls of each reader the subcommands use; each still runs."""
+    with contextlib.ExitStack() as stack:
+        yield [stack.enter_context(mock.patch.object(cli, name, wraps=getattr(cli, name)))
+               for name in READERS]
+
 
 class TestExitCodes:
     """2: an argument value refused before any file is read; 1: bad input; traceback: a bug."""
@@ -607,6 +654,7 @@ class TestExitCodes:
         ["fetch", "--offline", "--cache-dir", MISSING, "--country", "../outside/USA"],
         ["fetch", "--offline", "--cache-dir", MISSING, "--indicator", "SP.POP/../X"],
         ["compute", MISSING, "--stable-range", "3:1"],
+        ["compute", MISSING, "--slope-tol", "0"],
     ])
     def test_bad_argument_exits_2_even_without_input(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -615,6 +663,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: " in err
         assert "No such file" not in err
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, options in OPTIONS.items() for option, _ in options
+    ])
+    def test_every_option_written_equals_dashdash_exits_2_before_any_read(
+        self, capsys, command, option
+    ):
+        # argparse gives '--opt=--' an empty list, without calling the option's type
+        with counted_reads() as readers, pytest.raises(SystemExit) as exc:
+            main(LEAD[command] + [f"{option}=--"])
+        assert exc.value.code == 2
+        assert not any(reader.called for reader in readers)
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: fisherinfo {command} [-h]")
+        assert f"\nfisherinfo {command}: error: argument {option}" in err
 
     @pytest.mark.parametrize("argv", [
         ["compute", MISSING, "--window-size", "1"],
@@ -745,6 +808,86 @@ class TestExitCodes:
             assert ("error: " in done.stderr) == (status != 0)
             assert "Traceback" not in done.stderr
             assert done.stdout.splitlines()[-1] == f"frozen: {status != 2}"
+
+
+# values every option is tried with, besides valid ones
+ODD_VALUES = ["--", "-", "", "nan", "inf", "-inf", "0", "-1", "1e999", "\u00e9t\u00e9"]
+VALID_VALUES = {
+    "--window-size": ["4", "8"],
+    "--increment": ["1", "3"],
+    "--sos": ["0.5,1"],
+    "--k": ["2", "0.5"],
+    "--stable-range": ["0:5"],
+    "--slope-tol": ["0.02", "1"],
+    "--slope-range": ["1:12", "1961:2013"],
+    "--out-csv": ["fi.csv"],
+    "--out-json": ["fi.json"],
+    "--plot": ["fi.svg"],
+    "--out": ["series.csv"],
+    "--country": ["USA"],
+    "--indicator": ["SP.POP.TOTL"],
+    "--start": ["1960"],
+    "--end": ["2013"],
+    "--cache-dir": [str(wb.fixture_cache_dir())],
+}
+OUTPUTS = ("--out-csv", "--out-json", "--plot", "--out")
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand and up to four of its options, each valid or odd, in either form.
+
+    --live is never drawn and fetch always runs --offline, so no run goes online.
+    """
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = {"compute": ["compute", "in.csv"], "estimate-sos": ["estimate-sos", "in.csv"],
+            "demo": ["demo"], "fetch": ["fetch", "--offline"]}[command]
+    written = {}
+    options = [pair for pair in OPTIONS[command] if pair[0] != "--live"]
+    for option, takes_value in draw(st.lists(st.sampled_from(options), unique=True, max_size=4)):
+        if not takes_value:
+            argv.append(option)
+            continue
+        value = draw(st.sampled_from(VALID_VALUES[option] + ODD_VALUES))
+        argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+        written[option] = value
+    return command, argv, written
+
+
+class TestArgumentGrammar:
+    @given(argvs())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_argv_exits_2_before_a_read_or_runs_cleanly(self, case):
+        command, argv, written = case
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp, counted_reads() as readers, \
+                mock.patch.object(wb, "_get_json", side_effect=AssertionError("network")):
+            os.chdir(tmp)
+            try:
+                Path("in.csv").write_text(
+                    "t,a,b\n" + "".join(f"{t},{t % 3},{t % 5 / 2}\n" for t in range(1, 13)))
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                        warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                        assert code == 2, err.getvalue()
+                        assert err.getvalue().startswith(f"usage: fisherinfo {command} [-h]")
+                        assert not any(reader.called for reader in readers)
+                        return
+                assert code in (0, 1), code
+                errors = [line for line in err.getvalue().splitlines()
+                          if line.startswith("error:")]
+                assert len(errors) == code, err.getvalue()
+                if code == 0:
+                    for option in OUTPUTS:
+                        if written.get(option):
+                            assert Path(written[option]).is_file(), option
+            finally:
+                os.chdir(cwd)
 
 
 class TestProcessEntry:

@@ -50,6 +50,12 @@ class TestValidateMatrix:
         with pytest.raises(NonUniformTimeAxis):
             validate_matrix(["y"], [1, 1, 2], [[0], [1], [2]])
 
+    @pytest.mark.parametrize("times", [[1, 1], [2, 1]], ids=["equal", "falling"])
+    def test_two_rows_that_do_not_rise_are_rejected(self, times):
+        with pytest.raises(NonUniformTimeAxis, match="strictly increasing") as exc:
+            validate_matrix(["y"], times, [[0], [1]])
+        assert exc.value.row == 1
+
     def test_first_of_several_bad_spacings_is_named(self):
         # spacings 1, 1, 3, 1, 2, 0.5: steps 3, 5 and 6 change the spacing
         with pytest.raises(NonUniformTimeAxis) as exc:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fisherinfo import (
     validate_matrix,
     window_count,
 )
-from fisherinfo.engine import SD_SCALE, sample_sd
+from fisherinfo.engine import SD_SCALE, fsum_of_squares, sample_sd
 
 from conftest import WORKED_ROWS
 from oracle import brute_bin, brute_fi, brute_fi_from_counts, brute_sample_sd
@@ -86,13 +87,20 @@ class TestEstimateStateSize:
             estimate_state_size(m)
 
 
+def square(x):
+    """x * x as a Python float, raising OverflowError where a finite x has an infinite square."""
+    if math.isinf(x * x) and math.isfinite(x):
+        raise OverflowError(f"{x!r} squared overflows")
+    return x * x
+
+
 def generator_sample_sd(xs):
     """sample_sd as plain Python floats compute it, one square at a time."""
     n = len(xs)
 
     def sd(values):
         mean = math.fsum(values) / n
-        return math.sqrt(math.fsum((x - mean) ** 2 for x in values) / (n - 1))
+        return math.sqrt(math.fsum(square(x - mean) for x in values) / (n - 1))
 
     try:
         return sd(xs)
@@ -133,6 +141,51 @@ class TestSampleSdBitForBit:
                 generator_sample_sd([1.7e308, 1.7e308, -1.7e308])
 
 
+# a deviation whose square glibc 2.36's pow rounds the wrong way
+POW_MISSES = float.fromhex("0x1.3aab337f49463p+0")
+
+
+def exact_square(x):
+    """x squared exactly, then rounded once to a float; OverflowError past the float range."""
+    return float(Fraction(x) ** 2)
+
+
+@st.composite
+def window_counts(draw):
+    """State counts of one window of 2..300 points, in discovery order."""
+    w = draw(st.integers(2, 300))
+    cuts = sorted(draw(st.sets(st.integers(1, w - 1), max_size=w - 1)))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, w])]
+
+
+class TestSquaresRoundCorrectly:
+    """Every square is the IEEE product x * x: the exact square rounded once to a float."""
+
+    @given(st.lists(any_scale, min_size=1, max_size=60))
+    @settings(max_examples=500)
+    def test_fsum_of_squares_is_the_fsum_of_exact_squares(self, xs):
+        def exact(values):
+            return math.fsum(exact_square(x) for x in values)
+        assert outcome(fsum_of_squares, np.array(xs)) == outcome(exact, xs)
+
+    @given(window_counts())
+    @settings(max_examples=300)
+    def test_fisher_index_is_the_formula_with_exact_squares(self, counts):
+        q = (0.0, *(math.sqrt(c / sum(counts)) for c in counts), 0.0)
+        expected = 4.0 * math.fsum(exact_square(a - b) for a, b in zip(q, q[1:]))
+        assert fisher_index(counts).hex() == expected.hex()
+
+    @pytest.mark.parametrize("f, values, expected", [
+        (fisher_index, [43, 25], "0x1.0921b8cdf82f5p+2"),
+        (fisher_index, [27, 16, 25], "0x1.99d4ee3856f88p+1"),
+        (fisher_index, [8, 14, 13, 1, 10], "0x1.5170965af5fb7p+1"),
+        (sample_sd, [POW_MISSES, -POW_MISSES], "0x1.bd02420c63d57p+0"),
+    ])
+    def test_values_a_libm_pow_square_misses(self, f, values, expected):
+        # squared with glibc 2.36's pow, each of these comes out one ulp off
+        assert f(values).hex() == expected
+
+
 class TestStateProbabilities:
     def test_worked_example_distribution(self, worked_delta):
         counts = bin_window(WORKED_ROWS, worked_delta).counts
@@ -140,7 +193,7 @@ class TestStateProbabilities:
         assert probabilities == (0.375, 0.25, 0.25, 0.125)
         # the index is the amplitude formula on exactly these probabilities
         q = (0.0, *map(math.sqrt, probabilities), 0.0)
-        assert fisher_index(counts) == 4.0 * math.fsum((a - b) ** 2 for a, b in zip(q, q[1:]))
+        assert fisher_index(counts) == 4.0 * math.fsum((a - b) * (a - b) for a, b in zip(q, q[1:]))
 
     def test_single_state_is_certain(self):
         counts = bin_window([(1.0,), (1.0,)], (0.5,)).counts

@@ -21,6 +21,8 @@ from fisherinfo import (
     validate_matrix,
 )
 
+from fisherinfo.regimes import _TOL_REL_SLACK
+
 from oracle import brute_ols_slope
 
 fi_values = st.lists(
@@ -125,7 +127,7 @@ def generator_slope(values, first, last):
     xbar = math.fsum(xs) / n
     ybar = math.fsum(ys) / n
     num = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    den = math.fsum((x - xbar) ** 2 for x in xs)
+    den = math.fsum((x - xbar) * (x - xbar) for x in xs)
     return num / den
 
 
@@ -194,6 +196,17 @@ class TestClassifyRegime:
         a, b = index_range
         assert verdict.mean_fi == math.fsum(values[a:b + 1]) / (b - a + 1)
         assert verdict.slope_window == index_range
+
+    @pytest.mark.parametrize("sign, beyond", [(1.0, RegimeCategory.INCREASING),
+                                              (-1.0, RegimeCategory.DECLINING)])
+    def test_slope_exactly_on_the_slackened_tolerance_is_stable(self, sign, beyond):
+        # [0, b] has slope b exactly: the bound is stable, the next float out is not
+        tol = 0.02
+        bound = sign * tol * (1.0 + _TOL_REL_SLACK)
+        assert fi_slope([0.0, bound]) == bound
+        assert classify_regime([0.0, bound], tol=tol).category is RegimeCategory.STABLE
+        outside = math.nextafter(bound, sign * math.inf)
+        assert classify_regime([0.0, outside], tol=tol).category is beyond
 
     def test_slope_on_the_tolerance_survives_a_shift(self):
         # the slope is 0.05 in exact decimals; in floats it lands just above
