@@ -32,10 +32,10 @@ _EXPORTS = {
     "regimes": "RegimeCategory RegimeVerdict fi_slope classify_regime local_maxima "
                "DEFAULT_SLOPE_TOL",
     "io": "ResultDocument read_csv write_results emit_plot",
-    "worldbank": "IndicatorRequest fetch_indicator assemble_demo_matrix demo_matrix",
+    "worldbank": "IndicatorRequest fetch_indicator demo_matrix",
     "errors": "FisherInfoError EmptyInput MissingValue NonUniformTimeAxis DimensionMismatch "
               "DegenerateRange SeriesTooShort ParseError NetworkError NotFound GapInSeries "
-              "RangeMismatch SmallWindowWarning ConstantVariableWarning SosPrecedenceWarning",
+              "SmallWindowWarning ConstantVariableWarning SosPrecedenceWarning",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -45,7 +45,6 @@ from .worldbank import (
     TOTAL_POPULATION,
     IndicatorRequest,
     _write_series,
-    cache_path,
     default_cache_dir,
     demo_matrix,
     fetch_indicator,
@@ -69,6 +68,12 @@ def _sos_list(text: str) -> StateSize:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a comma-separated list of state sizes: {exc}"
         ) from None
+
+
+def _out_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
 
 
 def _pair(convert, noun: str):
@@ -129,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     for cmd in (demo, fetch):  # between fetch's --offline and --out, its place in fetch --help
         cmd.add_argument("--cache-dir", default=None, help="cache directory "
                          "(default: $FISHERINFO_CACHE_DIR or the shipped fixture)")
-    fetch.add_argument("--out", default=None, help="also write the series as CSV to this path")
+    fetch.add_argument("--out", type=_out_path, default=None,
+                       help="also write the series as CSV to this path")
 
     # main reports a refused value with command_parser's usage line
     for cmd, run in ((compute, _cmd_compute), (estimate, _cmd_estimate_sos),
@@ -152,9 +158,11 @@ def _add_pipeline_options(cmd: argparse.ArgumentParser) -> None:
                      help="time labels as written in the CSV's first column, inclusive, "
                           "analyzed for the verdict (default: all points); "
                           + _EQUALS_FORM.format("--slope-range"))
-    cmd.add_argument("--out-csv", default=None, help="write the index series as CSV here")
-    cmd.add_argument("--out-json", default=None, help="write the full result document here")
-    cmd.add_argument("--plot", default=None, help="write an SVG line chart here")
+    cmd.add_argument("--out-csv", type=_out_path, default=None,
+                     help="write the index series as CSV here")
+    cmd.add_argument("--out-json", type=_out_path, default=None,
+                     help="write the full result document here")
+    cmd.add_argument("--plot", type=_out_path, default=None, help="write an SVG line chart here")
 
 
 def _add_estimation_options(cmd: argparse.ArgumentParser) -> None:
@@ -291,13 +299,15 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_fetch(args) -> int:
-    req, directory = args.request, args.cache_dir
-    series = fetch_indicator(req, directory, offline=args.offline)
-    print(f"{req.country_code}/{req.indicator_id}: {len(series)} year(s) "
-          f"{series[0][0]}..{series[-1][0]} (cache: {cache_path(req, directory)})")
+    req = args.request
+    matrix = fetch_indicator(req, args.cache_dir, offline=args.offline)
+    years = matrix.times.astype(int).tolist()
+    ((path, _),) = matrix.sources
+    print(f"{req.country_code}/{req.indicator_id}: {len(years)} year(s) "
+          f"{years[0]}..{years[-1]} (cache: {path})")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            _write_series(fh, series)
+            _write_series(fh, years, matrix.values[:, 0].tolist())
     return 0
 
 

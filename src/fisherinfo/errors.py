@@ -72,10 +72,6 @@ class GapInSeries(FisherInfoError):
     """Years missing inside the requested range; gaps are reported, never imputed."""
 
 
-class RangeMismatch(FisherInfoError):
-    """Series to be assembled do not cover identical year ranges."""
-
-
 # --- warning categories ---
 
 class SmallWindowWarning(UserWarning):

@@ -1,6 +1,6 @@
 """World Bank open-data client with an on-disk cache.
 
-Fetches indicator series (API v2, JSON) and converts them into the matrix
+Fetches indicator series (API v2, JSON) and serves each as the matrix
 form the engine consumes.  Every successful fetch is cached as a small CSV
 under the cache directory, keyed by country, indicator, and year range; a
 cache hit never touches the network, so a populated cache (the shipped
@@ -14,10 +14,12 @@ import re
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterable
+
+import numpy as np
 
 from .core import TimeSeriesMatrix, validate_matrix
-from .errors import GapInSeries, NetworkError, NotFound, ParseError, RangeMismatch
+from .errors import GapInSeries, NetworkError, NotFound, ParseError
 from .io import read_csv
 
 API_BASE = "https://api.worldbank.org/v2"
@@ -96,12 +98,14 @@ def fetch_indicator(
     cache_dir: str | Path,
     offline: bool = False,
     timeout: float = REQUEST_TIMEOUT,
-) -> list[tuple[int, float]]:
-    """Return (year, value) pairs for one indicator, years ascending.
+) -> TimeSeriesMatrix:
+    """One indicator as the one-column matrix read_csv parsed from its cache file.
 
-    Serves from the cache file when present (never touching the network);
-    otherwise fetches from the API, verifies the range is complete, writes
-    the cache atomically and serves the file it wrote, read like a cache hit.
+    The times are the requested years, ascending, and sources pairs the
+    cache file's path with the sha256 of the bytes parsed.  Serves the cache
+    file when present (never touching the network); otherwise fetches from
+    the API, verifies the range is complete, writes the cache atomically and
+    serves the file it wrote, read like a cache hit.
 
     Raises NetworkError when offline with no cached copy or when the API
     is unreachable; NotFound for unknown indicator or country; GapInSeries
@@ -110,32 +114,27 @@ def fetch_indicator(
     malformed one raises what read_csv raises for the same fault, and a
     file with more than one value column is a ParseError.
     """
-    return _serve(req, cache_dir, offline, timeout)[0]
-
-
-def _serve(req: IndicatorRequest, cache_dir: str | Path, offline: bool,
-           timeout: float) -> tuple[list[tuple[int, float]], tuple[str, str]]:
-    """fetch_indicator's series and (cache file name, sha256 of the bytes parsed)."""
     path = cache_path(req, cache_dir)
     start, end = req.year_range
+    years = range(start, end + 1)
     if not path.exists():
         if offline:
             raise NetworkError(
                 f"offline and no cached copy for {req.country_code}/{req.indicator_id} "
                 f"{start}-{end} (looked in {path})"
             )
-        _write_cache(path, _fetch_remote(req, timeout))
+        _write_cache(path, years, _fetch_remote(req, timeout))
     matrix = read_csv(path)
     if matrix.n_vars != 1:
         raise ParseError(f"{path}: expected one value column after the year, "
                          f"got {matrix.n_vars}")
-    years = range(start, end + 1)
     if matrix.times.tolist() != list(years):
         raise GapInSeries(f"{path}: cache file does not hold exactly the years {start}-{end}")
-    return list(zip(years, matrix.values[:, 0].tolist())), (path.name, matrix.sources[0][1])
+    return matrix
 
 
-def _fetch_remote(req: IndicatorRequest, timeout: float) -> list[tuple[int, float]]:
+def _fetch_remote(req: IndicatorRequest, timeout: float) -> list[float]:
+    """The indicator's values for each requested year, ascending."""
     start, end = req.year_range
     url = f"{API_BASE}/country/{req.country_code}/indicator/{req.indicator_id}"
     params = {"format": "json", "date": f"{start}:{end}", "per_page": 20000}
@@ -179,7 +178,7 @@ def _fetch_remote(req: IndicatorRequest, timeout: float) -> list[tuple[int, floa
             f"{req.country_code}/{req.indicator_id}: missing years inside "
             f"{start}-{end}: {_summarize(missing)}"
         )
-    return [(y, by_year[y]) for y in range(start, end + 1)]
+    return [by_year[y] for y in range(start, end + 1)]
 
 
 def _summarize(years: list[int], limit: int = 8) -> str:
@@ -189,47 +188,25 @@ def _summarize(years: list[int], limit: int = 8) -> str:
     return shown
 
 
-def _write_series(fh: IO[str], series: list[tuple[int, float]]) -> None:
-    """Write (year, value) pairs in the `year,value` cache format."""
+def _write_series(fh: IO[str], years: Iterable[int], values: Iterable[float]) -> None:
+    """Write a series in the `year,value` cache format."""
     fh.write("year,value\n")
-    for year, value in series:
+    for year, value in zip(years, values):
         fh.write(f"{year},{value!r}\n")
 
 
-def _write_cache(path: Path, series: list[tuple[int, float]]) -> None:
+def _write_cache(path: Path, years: Iterable[int], values: Iterable[float]) -> None:
     # write-temp-then-rename so concurrent readers never see a partial file
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            _write_series(fh, series)
+            _write_series(fh, years, values)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def assemble_demo_matrix(
-    series_list: list[list[tuple[int, float]]],
-    labels: tuple[str, ...],
-) -> TimeSeriesMatrix:
-    """Combine per-indicator (year, value) series into one matrix with one label per series.
-
-    All series must cover exactly the same years; raises RangeMismatch
-    otherwise.
-    """
-    if not series_list:
-        raise RangeMismatch("no series to assemble")
-    years = [y for y, _ in series_list[0]]
-    for i, series in enumerate(series_list[1:], start=2):
-        if [y for y, _ in series] != years:
-            raise RangeMismatch(
-                f"series 1 covers {len(years)} year(s) "
-                f"{years[0]}-{years[-1]} but series {i} differs"
-            )
-    rows = [[series[j][1] for series in series_list] for j in range(len(years))]
-    return validate_matrix(labels, [float(y) for y in years], rows)
 
 
 def demo_matrix(
@@ -239,12 +216,17 @@ def demo_matrix(
 ) -> TimeSeriesMatrix:
     """GDP per capita (current US$) and total population, USA 1960-2013.
 
-    Offline by default, serving the shipped fixture (or any populated cache
+    The two fetch_indicator matrices side by side, each cache file's digest
+    recorded under the file's name.  Offline by default, serving the shipped fixture (or any populated cache
     directory); pass offline=False to allow a live fetch into the cache.
     """
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    series_list, sources = zip(*(
-        _serve(IndicatorRequest(DEMO_COUNTRY, indicator, DEMO_YEARS), directory, offline, timeout)
+    gdp, population = (
+        fetch_indicator(IndicatorRequest(DEMO_COUNTRY, indicator, DEMO_YEARS), directory,
+                        offline, timeout)
         for indicator in (GDP_PER_CAPITA, TOTAL_POPULATION)
-    ))
-    return replace(assemble_demo_matrix(list(series_list), labels=DEMO_LABELS), sources=sources)
+    )
+    matrix = validate_matrix(DEMO_LABELS, gdp.times, np.hstack((gdp.values, population.values)))
+    return replace(matrix, sources=tuple((Path(path).name, digest)
+                                         for series in (gdp, population)
+                                         for path, digest in series.sources))

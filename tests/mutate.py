@@ -66,6 +66,14 @@ MUTANTS = [
     ("cli.py", "if not value > 0:", "if not value >= 0:", "test_cli.py"),
     # a run of exactly ten points printed without its per-point lines
     ("cli.py", "if len(series) <= 10:", "if len(series) < 10:", "test_cli.py"),
+    # a cache file over other years of the same count served
+    ("worldbank.py", "if matrix.times.tolist() != list(years):",
+     "if len(matrix.times) != len(years):", "test_worldbank.py"),
+    # a cache file with more than one value column served
+    ("worldbank.py", "if matrix.n_vars != 1:", "if False:", "test_worldbank.py"),
+    # the demo's sources keyed by each cache file's full path
+    ("worldbank.py", "sources=tuple((Path(path).name, digest)", "sources=tuple((path, digest)",
+     "test_worldbank.py"),
 ]
 
 

@@ -448,6 +448,14 @@ class TestFetch:
         assert lines[0] == "year,value"
         assert len(lines) == 55
 
+    def test_fetch_prints_the_cache_file_it_parsed(self, capsys, tmp_path):
+        req = wb.IndicatorRequest(wb.DEMO_COUNTRY, wb.TOTAL_POPULATION, wb.DEMO_YEARS)
+        path = Path(shutil.copy(wb.cache_path(req, wb.fixture_cache_dir()), tmp_path))
+        code, out, err = run(["fetch", "--indicator", wb.TOTAL_POPULATION, "--offline",
+                              "--cache-dir", str(tmp_path)], capsys)
+        assert (code, err) == (0, "")
+        assert out == f"USA/SP.POP.TOTL: 54 year(s) 1960..2013 (cache: {path})\n"
+
     def test_fetch_cache_miss_offline_exits_1(self, capsys, tmp_path):
         code, _, err = run(
             ["fetch", "--indicator", "XX.YY", "--offline", "--cache-dir", str(tmp_path)],
@@ -655,6 +663,10 @@ class TestExitCodes:
         ["fetch", "--offline", "--cache-dir", MISSING, "--indicator", "SP.POP/../X"],
         ["compute", MISSING, "--stable-range", "3:1"],
         ["compute", MISSING, "--slope-tol", "0"],
+        ["compute", MISSING, "--sos", "0.5,0.5", "--out-csv", "", "--plot="],
+        ["compute", MISSING, "--out-json", ""],
+        ["demo", "--cache-dir", MISSING, "--plot", ""],
+        ["fetch", "--offline", "--cache-dir", MISSING, "--out", ""],
     ])
     def test_bad_argument_exits_2_even_without_input(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -678,6 +690,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: fisherinfo {command} [-h]")
         assert f"\nfisherinfo {command}: error: argument {option}" in err
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command in ("compute", "demo")
+        for option in ("--out-csv", "--out-json", "--plot")
+    ] + [("fetch", "--out")])
+    def test_empty_output_path_exits_2_before_any_read(self, capsys, command, option):
+        with counted_reads() as readers, pytest.raises(SystemExit) as exc:
+            main(LEAD[command] + [option, ""])
+        assert exc.value.code == 2
+        assert not any(reader.called for reader in readers)
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: fisherinfo {command} [-h]")
+        assert err.endswith(f"\nfisherinfo {command}: error: argument {option}: "
+                            "expected a file path, got ''\n")
 
     @pytest.mark.parametrize("argv", [
         ["compute", MISSING, "--window-size", "1"],

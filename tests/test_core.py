@@ -330,18 +330,18 @@ class TestInclusiveRange:
         assert (type(first), type(last)) == (int, int)
 
 
-def test_each_of_the_15_error_names_is_one_exported_class():
+def test_each_of_the_14_error_names_is_one_exported_class():
     names = (
         "FisherInfoError EmptyInput MissingValue NonUniformTimeAxis DimensionMismatch "
         "DegenerateRange SeriesTooShort ParseError NetworkError NotFound GapInSeries "
-        "RangeMismatch SmallWindowWarning ConstantVariableWarning SosPrecedenceWarning"
+        "SmallWindowWarning ConstantVariableWarning SosPrecedenceWarning"
     ).split()
     exported = [getattr(fisherinfo, name) for name in names]
     assert len(set(exported)) == len(names)
     for name, value in zip(names, exported):
         assert name in fisherinfo.__all__
         assert issubclass(value, (fisherinfo.FisherInfoError, UserWarning))
-    for removed in ("EmptyWindow", "EmptySeries", "RangeTooShort"):
+    for removed in ("EmptyWindow", "EmptySeries", "RangeTooShort", "RangeMismatch"):
         assert not hasattr(fisherinfo, removed)
 
 
@@ -354,10 +354,10 @@ EXPORTED_NAMES = [
     "RegimeCategory", "RegimeVerdict", "fi_slope", "classify_regime", "local_maxima",
     "DEFAULT_SLOPE_TOL",
     "ResultDocument", "read_csv", "write_results", "emit_plot",
-    "IndicatorRequest", "fetch_indicator", "assemble_demo_matrix", "demo_matrix",
+    "IndicatorRequest", "fetch_indicator", "demo_matrix",
     "FisherInfoError", "EmptyInput", "MissingValue", "NonUniformTimeAxis", "DimensionMismatch",
     "DegenerateRange", "SeriesTooShort", "ParseError", "NetworkError", "NotFound",
-    "GapInSeries", "RangeMismatch",
+    "GapInSeries",
     "SmallWindowWarning", "ConstantVariableWarning", "SosPrecedenceWarning",
 ]
 SUBMODULES = ("binning", "core", "engine", "errors", "io", "regimes", "worldbank")

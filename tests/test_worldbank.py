@@ -8,7 +8,9 @@ import sys
 import tempfile
 import urllib.error
 import urllib.request
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -23,8 +25,6 @@ from fisherinfo import (
     NonUniformTimeAxis,
     NotFound,
     ParseError,
-    RangeMismatch,
-    assemble_demo_matrix,
     demo_matrix,
     fetch_indicator,
 )
@@ -62,9 +62,19 @@ def fake_api(monkeypatch):
     return state
 
 
+def served(matrix):
+    """A served one-column matrix as (times, values) lists."""
+    assert matrix.n_vars == 1
+    return matrix.times.tolist(), matrix.values[:, 0].tolist()
+
+
+def demo_request(indicator):
+    return IndicatorRequest(wb.DEMO_COUNTRY, indicator, wb.DEMO_YEARS)
+
+
 def demo_digests(directory):
     """(cache file name, sha256 of its bytes) of the demo's two indicators, in demo order."""
-    paths = [wb.cache_path(IndicatorRequest(wb.DEMO_COUNTRY, indicator, wb.DEMO_YEARS), directory)
+    paths = [wb.cache_path(demo_request(indicator), directory)
              for indicator in (wb.GDP_PER_CAPITA, wb.TOTAL_POPULATION)]
     return [(path.name, hashlib.sha256(path.read_bytes()).hexdigest()) for path in paths]
 
@@ -121,7 +131,7 @@ class TestFetchIndicator:
             wb_records([(2002, 3.0), (2001, 2.0), (2000, 1.0)])
         )
         series = fetch_indicator(req, tmp_path)
-        assert series == [(2000, 1.0), (2001, 2.0), (2002, 3.0)]
+        assert served(series) == ([2000, 2001, 2002], [1.0, 2.0, 3.0])
         assert fake_api["calls"] == 1
         assert wb.cache_path(req, tmp_path).exists()
         assert fake_api["last_params"]["date"] == "2000:2002"
@@ -132,11 +142,11 @@ class TestFetchIndicator:
         fake_api["payload"] = wb_payload(wb_records([(2000, 1.0), (2001, 2.0)]))
         write_cache = wb._write_cache
 
-        def write_other_values(path, series):
-            write_cache(path, [(year, 10 * value) for year, value in series])
+        def write_other_values(path, years, values):
+            write_cache(path, years, [10 * value for value in values])
 
         monkeypatch.setattr(wb, "_write_cache", write_other_values)
-        assert fetch_indicator(req, tmp_path) == [(2000, 10.0), (2001, 20.0)]
+        assert served(fetch_indicator(req, tmp_path)) == ([2000, 2001], [10.0, 20.0])
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -150,14 +160,17 @@ class TestFetchIndicator:
         with tempfile.TemporaryDirectory() as cache:
             series = fetch_indicator(req, cache)
             assert wb.cache_path(req, cache).exists()
-        assert [(y, v.hex()) for y, v in series] == [(y, v.hex()) for y, v in zip(years, values)]
+        times, served_values = served(series)
+        assert times == list(years)
+        assert [v.hex() for v in served_values] == [v.hex() for v in values]
 
     def test_second_call_served_from_cache(self, fake_api, tmp_path):
         req = IndicatorRequest("USA", "X.Y", (2000, 2002))
         fake_api["payload"] = wb_payload(wb_records([(2000, 1.0), (2001, 2.0), (2002, 3.0)]))
         first = fetch_indicator(req, tmp_path)
         second = fetch_indicator(req, tmp_path)
-        assert second == first
+        assert served(second) == served(first)
+        assert second.sources == first.sources
         assert fake_api["calls"] == 1  # cache hit never touches the network
 
     def test_cache_file_is_byte_stable(self, fake_api, tmp_path):
@@ -181,7 +194,7 @@ class TestFetchIndicator:
         fake_api["payload"] = wb_payload(wb_records([(2000, 1.0), (2001, 2.0)]))
         fetch_indicator(req, tmp_path)
         series = fetch_indicator(req, tmp_path, offline=True)
-        assert series == [(2000, 1.0), (2001, 2.0)]
+        assert served(series) == ([2000, 2001], [1.0, 2.0])
         assert fake_api["calls"] == 1
 
     def test_unknown_indicator_is_not_found(self, fake_api, tmp_path):
@@ -225,7 +238,7 @@ class TestGetJson:
         records = wb_records([(2001, 2.0), (2000, 1.0)])
         fake_urlopen["body"] = json.dumps(wb_payload(records)).encode("utf-8")
         series = fetch_indicator(self.REQ, tmp_path, timeout=7.5)
-        assert series == [(2000, 1.0), (2001, 2.0)]
+        assert served(series) == ([2000, 2001], [1.0, 2.0])
         base, _, query = fake_urlopen["url"].partition("?")
         assert base == f"{wb.API_BASE}/country/USA/indicator/X.Y"
         assert set(query.split("&")) == {"format=json", "date=2000%3A2001", "per_page=20000"}
@@ -362,52 +375,78 @@ class TestCacheFiles:
         # CRLF, a BOM, blank lines, padded and quoted cells, `2000.0`-style years
         self.write_cache(tmp_path, '\ufeffyear,value\r\n 2000.0 , 1.0\r\n\r\n'
                                    '2001,"2.5"\r\n2002.0,-0.0 \r\n')
-        series = fetch_indicator(self.REQ, tmp_path, offline=True)
-        assert series == [(2000, 1.0), (2001, 2.5), (2002, 0.0)]
-        assert [type(y) for y, _ in series] == [int] * 3
-        assert math.copysign(1.0, series[2][1]) == -1.0
+        times, values = served(fetch_indicator(self.REQ, tmp_path, offline=True))
+        assert (times, values) == ([2000, 2001, 2002], [1.0, 2.5, 0.0])
+        assert math.copysign(1.0, values[2]) == -1.0
 
 
-class TestAssembleDemoMatrix:
-    def test_two_series_become_two_columns(self):
-        a = [(2000, 1.0), (2001, 2.0), (2002, 3.0)]
-        b = [(2000, 10.0), (2001, 20.0), (2002, 30.0)]
-        m = assemble_demo_matrix([a, b], labels=("x", "y"))
-        assert m.n_steps == 3
-        assert m.n_vars == 2
-        assert m.times.tolist() == [2000.0, 2001.0, 2002.0]
-        assert m.values[1, 1] == 20.0
+def write_demo_cache(directory, gdp, population):
+    """The demo's two cache files, holding the 54 values given for each."""
+    years = range(wb.DEMO_YEARS[0], wb.DEMO_YEARS[1] + 1)
+    for indicator, values in ((wb.GDP_PER_CAPITA, gdp), (wb.TOTAL_POPULATION, population)):
+        wb.cache_path(demo_request(indicator), directory).write_text(
+            "year,value\n" + "".join(f"{y},{v!r}\n" for y, v in zip(years, values)))
 
-    def test_single_series(self):
-        m = assemble_demo_matrix([[(2000, 1.0), (2001, 2.0)]], labels=("x",))
+
+class TestServedMatrix:
+    """fetch_indicator serves the matrix read_csv parsed; demo_matrix stacks two of them."""
+
+    @pytest.mark.parametrize("indicator", [wb.GDP_PER_CAPITA, wb.TOTAL_POPULATION])
+    def test_fetch_serves_the_cache_cells_bit_for_bit(self, indicator):
+        req = demo_request(indicator)
+        path = wb.cache_path(req, wb.fixture_cache_dir())
+        cells = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        m = fetch_indicator(req, wb.fixture_cache_dir(), offline=True)
         assert m.n_vars == 1
-        assert m.labels == ("x",)
+        assert m.times.tolist() == list(range(wb.DEMO_YEARS[0], wb.DEMO_YEARS[1] + 1))
+        assert [v.hex() for v in m.values[:, 0].tolist()] == [float(v).hex() for _, v in cells]
 
-    def test_length_mismatch_rejected(self):
-        a = [(2000, 1.0), (2001, 2.0)]
-        b = [(2000, 10.0)]
-        with pytest.raises(RangeMismatch):
-            assemble_demo_matrix([a, b], labels=("x", "y"))
+    @pytest.mark.parametrize("indicator", [wb.GDP_PER_CAPITA, wb.TOTAL_POPULATION])
+    def test_fetch_records_the_cache_path_and_digest(self, indicator):
+        req = demo_request(indicator)
+        path = wb.cache_path(req, wb.fixture_cache_dir())
+        m = fetch_indicator(req, wb.fixture_cache_dir(), offline=True)
+        assert m.sources == ((str(path), hashlib.sha256(path.read_bytes()).hexdigest()),)
 
-    def test_year_mismatch_rejected(self):
-        a = [(2000, 1.0), (2001, 2.0)]
-        b = [(2000, 10.0), (2002, 20.0)]
-        with pytest.raises(RangeMismatch):
-            assemble_demo_matrix([a, b], labels=("x", "y"))
+    def test_demo_matrix_is_the_two_fetched_matrices_stacked(self):
+        directory = wb.fixture_cache_dir()
+        gdp, population = (fetch_indicator(demo_request(indicator), directory, offline=True)
+                           for indicator in (wb.GDP_PER_CAPITA, wb.TOTAL_POPULATION))
+        m = demo_matrix(directory)
+        assert m.values.tobytes() == np.hstack((gdp.values, population.values)).tobytes()
+        assert m.times.tobytes() == gdp.times.tobytes()
+        assert m.labels == wb.DEMO_LABELS
+        assert m.sources == tuple((Path(path).name, digest)
+                                  for series in (gdp, population)
+                                  for path, digest in series.sources)
 
-    def test_no_series_rejected(self):
-        with pytest.raises(RangeMismatch):
-            assemble_demo_matrix([], labels=())
+    def test_two_cache_files_become_two_columns(self, tmp_path):
+        steps = range(1, 55)
+        write_demo_cache(tmp_path, [0.5 * k for k in steps], [10.0 * k for k in steps])
+        m = demo_matrix(tmp_path)
+        assert (m.n_steps, m.n_vars) == (54, 2)
+        assert m.times.tolist() == list(range(1960, 2014))
+        assert m.values[1].tolist() == [1.0, 20.0]
+        assert m.values[-1].tolist() == [27.0, 540.0]
+
+    def test_population_over_other_years_is_a_gap_naming_its_file(self, tmp_path):
+        write_demo_cache(tmp_path, [1.0] * 54, [1.0] * 54)
+        population = wb.cache_path(demo_request(wb.TOTAL_POPULATION), tmp_path)
+        lines = population.read_text().splitlines()
+        population.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(GapInSeries) as exc:
+            demo_matrix(tmp_path)
+        assert str(exc.value).startswith(f"{population}: ")
 
 
 class TestShippedFixture:
     def test_fixture_files_cover_the_demo_years(self):
         directory = wb.fixture_cache_dir()
         for indicator in (wb.GDP_PER_CAPITA, wb.TOTAL_POPULATION):
-            req = IndicatorRequest(wb.DEMO_COUNTRY, indicator, wb.DEMO_YEARS)
-            series = fetch_indicator(req, directory, offline=True)
-            assert [y for y, _ in series] == list(range(1960, 2014))
-            assert all(v > 0 for _, v in series)
+            times, values = served(fetch_indicator(demo_request(indicator), directory,
+                                                   offline=True))
+            assert times == list(range(1960, 2014))
+            assert all(v > 0 for v in values)
 
     def test_demo_matrix_offline(self):
         m = demo_matrix(offline=True)
