@@ -27,10 +27,9 @@ __version__ = "0.1.0"
 # every public name, keyed by the submodule that defines it, in __all__ order
 _EXPORTS = {
     "core": "TimeSeriesMatrix StateSize WindowConfig SosConfig validate_matrix",
-    "binning": "StateAssignment same_state bin_window",
+    "binning": "StateAssignment bin_window",
     "engine": "FiSeries estimate_state_size fisher_index sliding_fi window_count",
-    "regimes": "RegimeCategory RegimeVerdict fi_slope classify_regime local_maxima "
-               "DEFAULT_SLOPE_TOL",
+    "regimes": "RegimeCategory RegimeVerdict classify_regime local_maxima DEFAULT_SLOPE_TOL",
     "io": "ResultDocument read_csv write_results emit_plot",
     "worldbank": "IndicatorRequest fetch_indicator demo_matrix",
     "errors": "FisherInfoError EmptyInput MissingValue NonUniformTimeAxis DimensionMismatch "

@@ -46,19 +46,6 @@ class StateAssignment:
         return tuple(len(state) for state in self.states)
 
 
-def same_state(a: Sequence[float], b: Sequence[float], delta) -> bool:
-    """True iff points a and b lie within one state hyper-rectangle.
-
-    Inclusive in every dimension: |a_i - b_i| <= delta_i for all i.
-    delta may be a StateSize or any sequence of non-negative reals; a
-    negative or nan delta raises ValueError.  This is the two-point case of
-    bin_window.
-    """
-    if len(a) != len(b):
-        raise DimensionMismatch(f"point lengths disagree: {len(a)}, {len(b)}")
-    return bin_window([a, b], delta).n_states == 1
-
-
 def _sweep(values, delta, window: int, increment: int):
     """Yield (s, seeding, members) for each state the greedy sweep finds.
 
@@ -124,6 +111,15 @@ def bin_windows(values, delta, window: int, increment: int = 1) -> np.ndarray:
     return counts
 
 
+def _uneven(points) -> bool:
+    """False when the points are all numbers or all flat sequences of one length."""
+    try:
+        shapes = {np.shape(p) for p in points}
+    except ValueError:  # a point that is itself ragged
+        return True
+    return len(shapes) > 1 or len(shapes.pop()) > 1
+
+
 def bin_window(points: Sequence[Sequence[float]], delta) -> StateAssignment:
     """Bin one window of points into states with the greedy center sweep.
 
@@ -136,10 +132,18 @@ def bin_window(points: Sequence[Sequence[float]], delta) -> StateAssignment:
     Returns a StateAssignment whose states appear in discovery order.
 
     Raises EmptyInput for zero points, ValueError for a negative or nan
-    delta, and DimensionMismatch when the points and delta disagree on the
-    number of variables.
+    delta or a coordinate that is not a number, and DimensionMismatch
+    unless the points are all numbers or all flat sequences of one length,
+    or when the points and delta disagree on the number of variables.
     """
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except ValueError:  # numpy's error for ragged points and for a coordinate that is no number
+        if not _uneven(points):
+            raise
+        pts = None
+    if pts is None or pts.ndim > 2:
+        raise DimensionMismatch("points must be all numbers or all flat sequences of one length")
     if pts.size == 0:
         raise EmptyInput("cannot bin an empty window")
     states = tuple(

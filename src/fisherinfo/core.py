@@ -179,8 +179,8 @@ def validate_matrix(
     EmptyInput
         No rows, no variables, or no time stamps.
     MissingValue
-        A row of the wrong length or a non-finite cell (reported with
-        row and column).
+        A row that is not n numbers (the first, row 0 for an array) or a
+        non-finite cell (reported with row and column).
     NonUniformTimeAxis
         Time stamps not one column, not strictly increasing, or spacing not
         constant.
@@ -190,8 +190,7 @@ def validate_matrix(
     if times.ndim != 1:
         raise NonUniformTimeAxis(f"time stamps must form one column, got shape {times.shape}")
     n = len(labels)
-    # a 2-D array is checked as a whole; anything else row by row
-    rows = values if isinstance(values, np.ndarray) and values.ndim == 2 else list(values)
+    rows = np.atleast_1d(values) if isinstance(values, np.ndarray) else list(values)
 
     if n == 0:
         raise EmptyInput("no variables: at least one variable column is required")
@@ -199,16 +198,15 @@ def validate_matrix(
         raise EmptyInput("no data rows: at least one time step is required")
     if len(rows) != len(times):
         raise NonUniformTimeAxis(f"{len(rows)} value rows but {len(times)} time stamps")
-    if isinstance(rows, np.ndarray):
-        if rows.shape[1] != n:
-            raise MissingValue(f"row 0 has {rows.shape[1]} values, expected {n}", row=0)
-    else:
-        for j, row in enumerate(rows):
-            if len(row) != n:
-                raise MissingValue(f"row {j} has {len(row)} values, expected {n}", row=j)
 
-    # one conversion for the whole grid; the first bad cell is located only on failure
-    grid = np.array(rows, dtype=float)
+    # one conversion for the whole grid; a bad row or cell is located only on failure
+    try:
+        grid = np.array(rows, dtype=float)
+    except ValueError:  # numpy's error for ragged or nested rows and for a cell that is no number
+        _check_rows(rows, n)
+        raise
+    if grid.shape[1:] != (n,):
+        _check_rows(rows, n)
     finite = np.isfinite(grid)
     if not finite.all():
         j, i = (int(k) for k in np.argwhere(~finite)[0])
@@ -223,6 +221,18 @@ def validate_matrix(
     grid.setflags(write=False)
     times.setflags(write=False)
     return TimeSeriesMatrix(labels=labels, times=times, values=grid)
+
+
+def _check_rows(rows, n: int) -> None:
+    """Raise MissingValue naming the first row that is not a flat row of n numbers."""
+    for j, row in enumerate(rows):
+        try:
+            shape = np.shape(row)
+        except ValueError:  # a row that is itself ragged, reported as nested
+            shape = ()
+        if shape != (n,):
+            found = f"has {shape[0]} values" if len(shape) == 1 else "is one value or nested"
+            raise MissingValue(f"row {j} {found}, expected {n}", row=j)
 
 
 def _check_time_axis(times: np.ndarray) -> None:

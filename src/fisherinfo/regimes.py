@@ -60,8 +60,26 @@ def _columns(series) -> tuple[np.ndarray, np.ndarray]:
     return values, np.arange(len(values))
 
 
-def _fit(series, index_range) -> tuple[float, float, tuple[int, int]]:
-    """Least-squares slope per time step and mean of the index over index_range, and the range."""
+def classify_regime(
+    series: FiSeries | Sequence[float],
+    tol: float = DEFAULT_SLOPE_TOL,
+    index_range: tuple[int, int] | None = None,
+) -> RegimeVerdict:
+    """Classify an index series as stable, declining, or increasing.
+
+    The slope is the least-squares slope of the index over index_range, an
+    inclusive (first, last) pair of point indices (default: the whole
+    series), per time step of the source series for an FiSeries (honoring
+    the window increment) and per position for a plain sequence.  declining
+    iff slope < -tol, increasing iff slope > +tol, stable otherwise; a slope
+    equal to +-tol up to float rounding is stable.  tol must be positive.
+
+    Raises DegenerateRange when index_range lies outside the series or
+    holds fewer than two points, and ValueError, naming the first position,
+    when a value in index_range is nan or infinite.
+    """
+    if not tol > 0:
+        raise ValueError(f"slope tolerance must be positive, got {tol}")
     values, steps = _columns(series)
     a, b = inclusive_range(index_range, len(values), "index_range")
     xs, ys = steps[a:b + 1].astype(float), values[a:b + 1]
@@ -71,43 +89,11 @@ def _fit(series, index_range) -> tuple[float, float, tuple[int, int]]:
         raise ValueError(f"index value at position {a + i} is not finite: {float(ys[i])!r}")
     n = len(ys)
     xbar = math.fsum(xs.tolist()) / n
-    ybar = math.fsum(ys.tolist()) / n
+    mean_fi = math.fsum(ys.tolist()) / n
     with np.errstate(over="ignore", invalid="ignore"):  # overflow as Python floats give it
-        dx, dy = xs - xbar, ys - ybar
+        dx, dy = xs - xbar, ys - mean_fi
         num = math.fsum((dx * dy).tolist())
-    return num / fsum_of_squares(dx), ybar, (a, b)
-
-
-def fi_slope(series: FiSeries | Sequence[float], index_range: tuple[int, int] | None = None) -> float:
-    """Ordinary least-squares slope of the index versus time step.
-
-    series may be an FiSeries (slope per time step of the source series,
-    honoring the window increment) or a plain sequence of values (slope per
-    consecutive position).  index_range is an optional inclusive (first,
-    last) pair of point indices; default is the whole series.
-
-    Raises DegenerateRange when index_range lies outside the series or
-    holds fewer than two points, and ValueError, naming the first position,
-    when a value in index_range is nan or infinite.
-    """
-    return _fit(series, index_range)[0]
-
-
-def classify_regime(
-    series: FiSeries | Sequence[float],
-    tol: float = DEFAULT_SLOPE_TOL,
-    index_range: tuple[int, int] | None = None,
-) -> RegimeVerdict:
-    """Classify an index series as stable, declining, or increasing.
-
-    declining iff slope < -tol, increasing iff slope > +tol, stable
-    otherwise; a slope equal to +-tol up to float rounding is stable.
-    tol must be positive.  The slope is fi_slope's, bit for bit, and a
-    non-finite value in the range raises fi_slope's ValueError.
-    """
-    if not tol > 0:
-        raise ValueError(f"slope tolerance must be positive, got {tol}")
-    slope, mean_fi, window = _fit(series, index_range)
+    slope = num / fsum_of_squares(dx)
     bound = tol * (1.0 + _TOL_REL_SLACK)
     if slope < -bound:
         category = RegimeCategory.DECLINING
@@ -115,7 +101,7 @@ def classify_regime(
         category = RegimeCategory.INCREASING
     else:
         category = RegimeCategory.STABLE
-    return RegimeVerdict(category=category, slope=slope, mean_fi=mean_fi, slope_window=window)
+    return RegimeVerdict(category=category, slope=slope, mean_fi=mean_fi, slope_window=(a, b))
 
 
 def local_maxima(series: FiSeries | Sequence[float]) -> tuple[int, ...]:

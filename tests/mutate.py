@@ -30,6 +30,8 @@ MUTANTS = [
      "test_binning.py"),
     # a nan seed no longer forced into its own state
     ("binning.py", "members[:, 0] = True", "members[:, 0] = members[:, 0]", "test_binning.py"),
+    # ragged points left to numpy's bare ValueError
+    ("binning.py", "if not _uneven(points):", "if True:", "test_binning.py"),
     # the right zero pad dropped
     ("engine.py", "for c in counts), 0.0)", "for c in counts))", "test_engine.py"),
     # the stamp moved to the window's first row
@@ -62,6 +64,8 @@ MUTANTS = [
     ("core.py", "if not (0 <= a < b):", "if not (0 <= a <= b):", "test_engine.py"),
     # a two-row time axis left unchecked
     ("core.py", "if len(times) < 2:", "if len(times) <= 2:", "test_core.py"),
+    # a grid of the right length but not of rows of n numbers served
+    ("core.py", "if grid.shape[1:] != (n,):", "if False:", "test_core.py"),
     # a slope tolerance of 0 accepted
     ("cli.py", "if not value > 0:", "if not value >= 0:", "test_cli.py"),
     # a run of exactly ten points printed without its per-point lines
@@ -71,6 +75,8 @@ MUTANTS = [
      "if len(matrix.times) != len(years):", "test_worldbank.py"),
     # a cache file with more than one value column served
     ("worldbank.py", "if matrix.n_vars != 1:", "if False:", "test_worldbank.py"),
+    # the temporary file of a failed cache write left behind
+    ("worldbank.py", "os.unlink(tmp)", "pass", "test_worldbank.py"),
     # the demo's sources keyed by each cache file's full path
     ("worldbank.py", "sources=tuple((Path(path).name, digest)", "sources=tuple((path, digest)",
      "test_worldbank.py"),

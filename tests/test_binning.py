@@ -14,13 +14,12 @@ from fisherinfo import (
     StateAssignment,
     StateSize,
     bin_window,
-    same_state,
 )
 from fisherinfo import binning
 from fisherinfo.binning import _sweep, bin_windows
 
 from conftest import WORKED_ROWS
-from oracle import brute_bin
+from oracle import brute_bin, brute_same_state
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
@@ -57,52 +56,77 @@ def wide_windows(draw):
     return points, draw(st.lists(widths, min_size=n, max_size=n))
 
 
-class TestSameState:
+def share(a, b, delta) -> bool:
+    """Whether points a and b fall in one state: the two-point window has one state."""
+    return bin_window([a, b], delta).n_states == 1
+
+
+class TestTwoPointWindow:
     def test_worked_example_steps_1_and_3_share_a_state(self):
-        assert same_state((0.6, 1.5), (0.3, 1.0), (0.5, 1.0)) is True
+        assert share((0.6, 1.5), (0.3, 1.0), (0.5, 1.0)) is True
 
     def test_worked_example_steps_2_and_4_do_not(self):
         # |2 - 3.5| = 1.5 > 0.5 in the first variable
-        assert same_state((2.0, 1.5), (3.5, 4.8), (0.5, 1.0)) is False
+        assert share((2.0, 1.5), (3.5, 4.8), (0.5, 1.0)) is False
 
     def test_identical_points_always_share(self):
-        assert same_state((1.0, 2.0), (1.0, 2.0), (0.0, 0.0)) is True
+        assert share((1.0, 2.0), (1.0, 2.0), (0.0, 0.0)) is True
 
     def test_boundary_is_inclusive(self):
-        assert same_state((0.0,), (0.5,), (0.5,)) is True
-        assert same_state((0.0,), (0.5000001,), (0.5,)) is False
+        assert share((0.0,), (0.5,), (0.5,)) is True
+        assert share((0.0,), (0.5000001,), (0.5,)) is False
 
     def test_accepts_state_size_objects(self):
-        assert same_state((0.0,), (1.0,), StateSize((1.0,))) is True
+        assert share((0.0,), (1.0,), StateSize((1.0,))) is True
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            same_state((1.0, 2.0), (1.0,), (0.5, 0.5))
-        with pytest.raises(DimensionMismatch):
-            same_state((1.0,), (1.0,), (0.5, 0.5))
+    def test_points_and_delta_of_different_lengths(self):
+        with pytest.raises(DimensionMismatch, match="2 variables but state size has 1"):
+            bin_window([(1.0, 2.0), (1.0, 2.0)], (0.5,))
+        with pytest.raises(DimensionMismatch, match="1 variables but state size has 2"):
+            bin_window([(1.0,), (1.0,)], (0.5, 0.5))
 
     def test_span_beyond_the_float_range_shares_only_under_an_infinite_delta(self):
         # 1e308 - (-1e308) overflows to inf; no RuntimeWarning may escape
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert same_state((1e308,), (-1e308,), (math.inf,)) is True
-            assert same_state((1e308,), (-1e308,), (1e308,)) is False
+            assert share((1e308,), (-1e308,), (math.inf,)) is True
+            assert share((1e308,), (-1e308,), (1e308,)) is False
 
     def test_non_finite_points_share_with_nothing(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert same_state((math.nan,), (0.0,), (1.0,)) is False
-            assert same_state((math.nan,), (math.nan,), (math.inf,)) is False
-            assert same_state((math.inf,), (math.inf,), (1.0,)) is False
+            assert share((math.nan,), (0.0,), (1.0,)) is False
+            assert share((math.nan,), (math.nan,), (math.inf,)) is False
+            assert share((math.inf,), (math.inf,), (1.0,)) is False
 
     def test_points_without_variables_are_empty_input(self):
         with pytest.raises(EmptyInput):
-            same_state((), (), ())
+            bin_window([(), ()], ())
 
     @pytest.mark.parametrize("delta", [-1.0, math.nan])
     def test_negative_or_nan_delta_is_refused(self, delta):
         with pytest.raises(ValueError, match="must be >= 0"):
-            same_state((0.0,), (0.0,), (delta,))
+            bin_window([(0.0,), (0.0,)], (delta,))
+
+
+class TestPointShape:
+    @pytest.mark.parametrize("points", [
+        [(1.0, 2.0), (1.0,)],       # ragged
+        [(1.0,), (1.0, 2.0)],
+        [[[1.0]]],                  # nested
+        [[[1.0], [2.0]], [[3.0], [4.0]]],
+        [(1.0, (2.0, 3.0)), (1.0, 2.0)],  # a point ragged itself
+        [1.0, (2.0,)],              # a number and a sequence
+    ], ids=["long_then_short", "short_then_long", "nested", "nested_grid", "ragged_point",
+            "number_and_sequence"])
+    def test_points_of_unequal_length_or_nested_are_a_dimension_mismatch(self, points):
+        with pytest.raises(DimensionMismatch, match="all numbers or all flat sequences"):
+            bin_window(points, (1.0,))
+
+    def test_a_coordinate_that_is_no_number_is_no_length_mismatch(self):
+        with pytest.raises(ValueError, match="could not convert string to float") as exc:
+            bin_window([(1.0, "a"), (1.0, 2.0)], (1.0, 1.0))
+        assert not isinstance(exc.value, DimensionMismatch)
 
 
 class TestBinWindow:
@@ -128,6 +152,8 @@ class TestBinWindow:
     def test_one_dimensional_shorthand(self):
         a = bin_window([0.0, 0.4, 1.0], (0.5,))
         assert a.states == ((0, 1), (2,))
+        # scalar points are one variable, not points of unequal length
+        assert bin_window([1.0, 2.0, 5.0], (1.0,)).states == ((0, 1), (2,))
 
     def test_empty_window_rejected(self, worked_delta):
         with pytest.raises(EmptyInput):
@@ -177,7 +203,7 @@ class TestAssignmentInvariants:
         # every non-center member lies within delta of its center
         for state in a.states:
             for i in state:
-                assert same_state(points[state[0]], points[i], deltas)
+                assert brute_same_state(points[state[0]], points[i], deltas)
 
     @given(windows)
     @settings(max_examples=200)

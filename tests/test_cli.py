@@ -721,6 +721,16 @@ class TestExitCodes:
         assert err.startswith(f"usage: fisherinfo {argv[0]} [-h]")
         assert f"\nfisherinfo {argv[0]}: error: " in err
 
+    def test_slope_tol_that_is_no_number_exits_2_before_any_read(self, capsys):
+        with counted_reads() as readers, pytest.raises(SystemExit) as exc:
+            main(["compute", MISSING, "--slope-tol", "abc"])
+        assert exc.value.code == 2
+        assert not any(reader.called for reader in readers)
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fisherinfo compute [-h]")
+        assert err.endswith("\nfisherinfo compute: error: argument --slope-tol: "
+                            "'abc' is not a number\n")
+
     @pytest.mark.parametrize("pair", ["nan:5", "5:nan", "nan:nan"])
     def test_nan_slope_range_bound_exits_2_before_reading_input(self, capsys, pair):
         with pytest.raises(SystemExit) as exc:

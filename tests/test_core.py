@@ -223,6 +223,33 @@ class TestValidateMatrix:
         assert again.times.tolist() == m.times.tolist()
         assert again.values.tobytes() == m.values.tobytes()
 
+    @pytest.mark.parametrize(
+        "values, row",
+        [
+            (np.zeros((3, 2, 4)), 0),
+            ([[[1, 2], [3, 4]]] * 3, 0),
+            (np.zeros(3), 0),
+            ([1.0, 2.0, 3.0], 0),
+            ([[1.0, 2.0], [3.0, [4.0]], [5.0, 6.0]], 1),
+            ([[1.0, 2.0], [3.0, 4.0], [[5.0, 6.0], [7.0, 8.0]]], 2),
+        ],
+        ids=["3d_array", "nested_rows", "1d_array", "scalars", "nested_cell", "nested_last_row"],
+    )
+    def test_grid_that_is_not_rows_of_n_numbers_names_the_first_bad_row(self, values, row):
+        message = f"^row {row} is one value or nested, expected 2$"
+        with pytest.raises(MissingValue, match=message) as exc:
+            validate_matrix(["a", "b"], [1, 2, 3], values)
+        assert (exc.value.row, exc.value.column) == (row, None)
+
+    def test_a_zero_dimensional_array_is_a_bad_row_0(self):
+        with pytest.raises(MissingValue, match="^row 0 is one value or nested, expected 2$"):
+            validate_matrix(["a", "b"], [1], np.array(5.0))
+
+    def test_a_cell_that_is_no_number_is_not_a_bad_row(self):
+        with pytest.raises(ValueError, match="could not convert string to float") as exc:
+            validate_matrix(["a", "b"], [1, 2], [[1.0, 2.0], [3.0, "x"]])
+        assert not isinstance(exc.value, MissingValue)
+
     def test_array_input_is_copied_and_checked_whole(self):
         values = np.array([[0.0, 1.0], [2.0, 3.0]])
         m = validate_matrix(["a", "b"], np.array([1.0, 2.0]), values)
@@ -349,9 +376,9 @@ def test_each_of_the_14_error_names_is_one_exported_class():
 EXPORTED_NAMES = [
     "__version__",
     "TimeSeriesMatrix", "StateSize", "WindowConfig", "SosConfig", "validate_matrix",
-    "StateAssignment", "same_state", "bin_window",
+    "StateAssignment", "bin_window",
     "FiSeries", "estimate_state_size", "fisher_index", "sliding_fi", "window_count",
-    "RegimeCategory", "RegimeVerdict", "fi_slope", "classify_regime", "local_maxima",
+    "RegimeCategory", "RegimeVerdict", "classify_regime", "local_maxima",
     "DEFAULT_SLOPE_TOL",
     "ResultDocument", "read_csv", "write_results", "emit_plot",
     "IndicatorRequest", "fetch_indicator", "demo_matrix",

@@ -318,6 +318,15 @@ class TestSlidingFi:
         assert series.time[0] == 1967.0
         assert series.time[-1] == 2013.0
 
+    def test_no_config_is_the_default_window_config(self):
+        m = make_matrix(np.random.default_rng(3).normal(size=(30, 2)))
+        delta = StateSize((0.5, 0.5))
+        default, explicit = sliding_fi(m, delta), sliding_fi(m, delta, WindowConfig())
+        assert default.config == explicit.config == WindowConfig(8, 1)
+        for column in ("time", "fi", "m_states", "start"):
+            assert getattr(default, column).tobytes() == getattr(explicit, column).tobytes()
+        assert len(default) == 23
+
     def test_increment_two_skips_starts(self):
         m = make_matrix(list(range(10)))
         series = sliding_fi(m, StateSize((1.0,)), WindowConfig(8, 2))

@@ -15,7 +15,6 @@ from fisherinfo import (
     StateSize,
     WindowConfig,
     classify_regime,
-    fi_slope,
     local_maxima,
     sliding_fi,
     validate_matrix,
@@ -40,6 +39,11 @@ def as_series(values, increment=3):
                     start=np.arange(n) * increment, config=WindowConfig())
 
 
+def slope(series, index_range=None):
+    """The least-squares slope classify_regime reports for series over index_range."""
+    return classify_regime(series, index_range=index_range).slope
+
+
 def loop_local_maxima(values):
     return tuple(
         i for i in range(1, len(values) - 1)
@@ -54,36 +58,36 @@ def values_and_range(draw):
     return values, (first, draw(st.integers(first + 1, len(values) - 1)))
 
 
-class TestFiSlope:
+class TestSlope:
     def test_constant_series_has_zero_slope(self):
-        assert fi_slope([2.0, 2.0, 2.0, 2.0]) == 0.0
+        assert slope([2.0, 2.0, 2.0, 2.0]) == 0.0
 
     def test_exact_line(self):
-        assert fi_slope([4.0, 3.0, 2.0, 1.0]) == pytest.approx(-1.0, abs=1e-12)
+        assert slope([4.0, 3.0, 2.0, 1.0]) == pytest.approx(-1.0, abs=1e-12)
 
     def test_hand_computed_example(self):
         # x mean 1.5, y mean 2: covariance sum 3, variance sum 5
-        assert fi_slope([1.0, 2.0, 2.0, 3.0]) == pytest.approx(0.6, abs=1e-12)
+        assert slope([1.0, 2.0, 2.0, 3.0]) == pytest.approx(0.6, abs=1e-12)
 
     def test_subrange(self):
-        assert fi_slope([9.0, 4.0, 3.0, 2.0, 1.0], (1, 4)) == pytest.approx(-1.0, abs=1e-12)
+        assert slope([9.0, 4.0, 3.0, 2.0, 1.0], (1, 4)) == pytest.approx(-1.0, abs=1e-12)
 
     def test_single_point_rejected(self):
         with pytest.raises(DegenerateRange):
-            fi_slope([2.0])
+            slope([2.0])
 
     def test_bad_range_rejected(self):
         with pytest.raises(DegenerateRange):
-            fi_slope([1.0, 2.0, 3.0], (2, 1))
+            slope([1.0, 2.0, 3.0], (2, 1))
         with pytest.raises(DegenerateRange):
-            fi_slope([1.0, 2.0, 3.0], (1, 9))
+            slope([1.0, 2.0, 3.0], (1, 9))
         with pytest.raises(DegenerateRange):
-            fi_slope([1.0, 2.0, 3.0], (1, 1))
+            slope([1.0, 2.0, 3.0], (1, 1))
 
     @given(fi_values)
     @settings(max_examples=200)
     def test_matches_textbook_formula(self, values):
-        assert fi_slope(values) == pytest.approx(brute_ols_slope(values), rel=1e-9, abs=1e-9)
+        assert slope(values) == pytest.approx(brute_ols_slope(values), rel=1e-9, abs=1e-9)
 
     def test_slope_uses_time_steps_not_point_positions(self):
         # increment 2: consecutive index points are two time steps apart,
@@ -94,33 +98,32 @@ class TestFiSlope:
             warnings.simplefilter("ignore", SmallWindowWarning)
             cfg = WindowConfig(window_size=4, increment=2)
         series = sliding_fi(m, StateSize((10.0,)), cfg)
-        per_point = fi_slope(series.fi.tolist())
-        per_step = fi_slope(series)
+        per_point = slope(series.fi.tolist())
+        per_step = slope(series)
         assert per_step == pytest.approx(per_point / 2, rel=1e-9, abs=1e-12)
 
     def test_palindrome_slope_is_exactly_zero(self):
         values = [1.7, 2.9, 0.3, 5.5, 4.1]
         both_ways = values + values[::-1]
-        assert fi_slope(both_ways) == 0.0
+        assert slope(both_ways) == 0.0
 
 
 class TestNonFiniteValues:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("analyse", [fi_slope, classify_regime])
-    def test_first_non_finite_position_is_named(self, analyse, bad):
+    def test_first_non_finite_position_is_named(self, bad):
         with pytest.raises(ValueError) as exc:
-            analyse([1.0, 2.0, 3.0, bad, math.nan])
+            classify_regime([1.0, 2.0, 3.0, bad, math.nan])
         assert str(exc.value) == f"index value at position 3 is not finite: {bad!r}"
 
     def test_only_the_analysed_range_is_read(self):
         values = [math.nan, 1.0, 2.0, 3.0, math.inf]
         assert classify_regime(values, index_range=(1, 3)).slope == 1.0
         with pytest.raises(ValueError, match="position 4 is not finite: inf"):
-            fi_slope(values, (2, 4))
+            slope(values, (2, 4))
 
 
 def generator_slope(values, first, last):
-    """fi_slope over positions first..last as plain Python floats compute it."""
+    """The slope over positions first..last as plain Python floats compute it."""
     xs = [float(x) for x in range(first, last + 1)]
     ys = values[first:last + 1]
     n = len(ys)
@@ -136,12 +139,15 @@ class TestSlopeBitForBit:
     @settings(max_examples=300)
     def test_matches_the_per_element_formula(self, case):
         values, (first, last) = case
-        assert fi_slope(values, (first, last)).hex() == generator_slope(values, first, last).hex()
+        verdict = classify_regime(values, index_range=(first, last))
+        assert verdict.slope.hex() == generator_slope(values, first, last).hex()
+        assert verdict.mean_fi == math.fsum(values[first:last + 1]) / (last - first + 1)
+        assert verdict.slope_window == (first, last)
 
     @given(st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=40))
     @settings(max_examples=200)
     def test_any_reals_match(self, values):
-        assert fi_slope(values).hex() == generator_slope(values, 0, len(values) - 1).hex()
+        assert slope(values).hex() == generator_slope(values, 0, len(values) - 1).hex()
 
 
 class TestClassifyRegime:
@@ -186,24 +192,13 @@ class TestClassifyRegime:
         with pytest.raises(DegenerateRange, match=f"index_range {index_range[0]}:"):
             classify_regime([1.0, 2.0, 3.0, 4.0], index_range=index_range)
 
-    @given(values_and_range(), st.booleans())
-    @settings(max_examples=200)
-    def test_slope_is_fi_slope_bit_for_bit(self, case, as_fi_series):
-        values, index_range = case
-        series = as_series(values) if as_fi_series else values
-        verdict = classify_regime(series, tol=0.05, index_range=index_range)
-        assert verdict.slope.hex() == fi_slope(series, index_range).hex()
-        a, b = index_range
-        assert verdict.mean_fi == math.fsum(values[a:b + 1]) / (b - a + 1)
-        assert verdict.slope_window == index_range
-
     @pytest.mark.parametrize("sign, beyond", [(1.0, RegimeCategory.INCREASING),
                                               (-1.0, RegimeCategory.DECLINING)])
     def test_slope_exactly_on_the_slackened_tolerance_is_stable(self, sign, beyond):
         # [0, b] has slope b exactly: the bound is stable, the next float out is not
         tol = 0.02
         bound = sign * tol * (1.0 + _TOL_REL_SLACK)
-        assert fi_slope([0.0, bound]) == bound
+        assert slope([0.0, bound]) == bound
         assert classify_regime([0.0, bound], tol=tol).category is RegimeCategory.STABLE
         outside = math.nextafter(bound, sign * math.inf)
         assert classify_regime([0.0, outside], tol=tol).category is beyond

@@ -225,6 +225,37 @@ class TestFetchIndicator:
         assert not wb.cache_path(req, tmp_path).exists()
         assert list(tmp_path.glob("*.tmp")) == []
 
+    def test_gap_of_more_than_eight_years_is_summarized(self, fake_api, tmp_path):
+        fake_api["payload"] = wb_payload(wb_records([(2000, 1.0), (2011, 2.0)]))
+        with pytest.raises(GapInSeries) as exc:
+            fetch_indicator(IndicatorRequest("USA", "X.Y", (2000, 2011)), tmp_path)
+        assert str(exc.value) == ("USA/X.Y: missing years inside 2000-2011: "
+                                  "2001, 2002, 2003, 2004, 2005, 2006, 2007, 2008, ... (10 total)")
+
+    @pytest.mark.parametrize("payload, shape", [({"message": "down"}, "dict"), ([], "list"),
+                                                ("busy", "str")])
+    def test_payload_that_is_no_list_of_pages_is_network_error(self, fake_api, tmp_path,
+                                                               payload, shape):
+        fake_api["payload"] = payload
+        with pytest.raises(NetworkError, match=f"^unexpected API response shape: {shape}$"):
+            fetch_indicator(IndicatorRequest("USA", "X.Y", (2000, 2001)), tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_cache_write_leaves_no_file_and_fetch_exits_1(self, fake_api, tmp_path,
+                                                                 monkeypatch, capsys):
+        fake_api["payload"] = wb_payload(wb_records([(2000, 1.0), (2001, 2.0)]))
+
+        def write_then_fail(fh, years, values):
+            fh.write("year,value\n2000,")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(wb, "_write_series", write_then_fail)
+        code = main(["fetch", "--indicator", "X.Y", "--start", "2000", "--end", "2001",
+                     "--cache-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: OSError: [Errno 28] No space left on device\n")
+        assert list(tmp_path.iterdir()) == []  # neither the cache file nor its temporary
+
     def test_url_error_wrapped(self, fake_urlopen, tmp_path):
         fake_urlopen["raise_exc"] = urllib.error.URLError("no dns")
         with pytest.raises(NetworkError):
