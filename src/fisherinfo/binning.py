@@ -132,9 +132,9 @@ def bin_window(points: Sequence[Sequence[float]], delta) -> StateAssignment:
     Returns a StateAssignment whose states appear in discovery order.
 
     Raises EmptyInput for zero points, ValueError for a negative or nan
-    delta or a coordinate that is not a number, and DimensionMismatch
-    unless the points are all numbers or all flat sequences of one length,
-    or when the points and delta disagree on the number of variables.
+    delta or a coordinate that is not a number (None included), and
+    DimensionMismatch unless points is a sequence of numbers or of flat
+    sequences of one length, or when points and delta differ in variables.
     """
     try:
         pts = np.asarray(points, dtype=float)
@@ -142,10 +142,13 @@ def bin_window(points: Sequence[Sequence[float]], delta) -> StateAssignment:
         if not _uneven(points):
             raise
         pts = None
-    if pts is None or pts.ndim > 2:
+    if pts is None or pts.ndim not in (1, 2):
         raise DimensionMismatch("points must be all numbers or all flat sequences of one length")
     if pts.size == 0:
         raise EmptyInput("cannot bin an empty window")
+    # numpy reads None as nan; only a window holding a nan can hold a None
+    if np.isnan(pts).any() and any(x is None for x in np.array(points, dtype=object).flat):
+        raise ValueError("a coordinate is None, not a number")
     states = tuple(
         tuple((s + np.flatnonzero(members[0])).tolist())
         for s, _, members in _sweep(pts, delta, len(pts), 1)

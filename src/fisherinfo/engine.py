@@ -26,7 +26,7 @@ import numpy as np
 
 from .binning import bin_windows
 from .core import SosConfig, StateSize, TimeSeriesMatrix, WindowConfig, inclusive_range
-from .errors import ConstantVariableWarning, DegenerateRange, SeriesTooShort
+from .errors import ConstantVariableWarning, SeriesTooShort
 
 # Upper bound of the index: a single state scores 4 * (1 + 1).
 FI_MAX = 8.0
@@ -81,15 +81,13 @@ class FiSeries:
 
 
 def sample_sd(xs: Sequence[float]) -> float:
-    """Sample standard deviation (divisor N-1) of a sequence of reals.
+    """Sample standard deviation (divisor N-1) of two or more reals.
 
     The mean and the sum of squared deviations are math.fsum sums, each
     square the correctly rounded IEEE product x * x, so the result rests on
     IEEE-754 basic operations, sqrt and fsum alone.
     """
     n = len(xs)
-    if n < 2:
-        raise DegenerateRange(f"need at least 2 points for a standard deviation, got {n}")
     values = np.asarray(xs, dtype=float)
     try:
         return _sd(values, n)
@@ -205,8 +203,6 @@ def sliding_fi(
         raise SeriesTooShort(f"series has {t_count} steps but the window needs {w}")
 
     counts = bin_windows(matrix.values, delta, w, cfg.increment)
-    if not (counts.sum(axis=1) == w).all():
-        raise ValueError("states do not form a partition of the window")
     # one row of bytes per window: equal count tuples have equal bytes
     keys = counts.view(np.dtype((np.void, counts.strides[0]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)

@@ -32,6 +32,12 @@ MUTANTS = [
     ("binning.py", "members[:, 0] = True", "members[:, 0] = members[:, 0]", "test_binning.py"),
     # ragged points left to numpy's bare ValueError
     ("binning.py", "if not _uneven(points):", "if True:", "test_binning.py"),
+    # one number taken for a window of points
+    ("binning.py", "pts.ndim not in (1, 2)", "pts.ndim > 2", "test_binning.py"),
+    # a None coordinate binned as a nan
+    ("binning.py", "if np.isnan(pts).any() and", "if False and", "test_binning.py"),
+    # a point left unbinned after it joins a state, so it joins later states too
+    ("binning.py", "unbinned[seeding, s:] &= ~members", "pass", "test_engine.py"),
     # the right zero pad dropped
     ("engine.py", "for c in counts), 0.0)", "for c in counts))", "test_engine.py"),
     # the stamp moved to the window's first row
@@ -70,6 +76,8 @@ MUTANTS = [
     ("cli.py", "if not value > 0:", "if not value >= 0:", "test_cli.py"),
     # a run of exactly ten points printed without its per-point lines
     ("cli.py", "if len(series) <= 10:", "if len(series) < 10:", "test_cli.py"),
+    # a slope range of one index point passed on to the slope
+    ("cli.py", "if len(idx) < 2:", "if len(idx) < 1:", "test_cli.py"),
     # a cache file over other years of the same count served
     ("worldbank.py", "if matrix.times.tolist() != list(years):",
      "if len(matrix.times) != len(years):", "test_worldbank.py"),

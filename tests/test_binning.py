@@ -123,10 +123,28 @@ class TestPointShape:
         with pytest.raises(DimensionMismatch, match="all numbers or all flat sequences"):
             bin_window(points, (1.0,))
 
+    @pytest.mark.parametrize("points", [5.0, np.array(5.0)], ids=["number", "zero_dim_array"])
+    def test_one_number_is_a_dimension_mismatch_as_ragged_points_are(self, points):
+        with pytest.raises(DimensionMismatch) as ragged:
+            bin_window([(1.0, 2.0), (1.0,)], (1.0,))
+        with pytest.raises(DimensionMismatch) as exc:
+            bin_window(points, (1.0,))
+        assert str(exc.value) == str(ragged.value)
+
     def test_a_coordinate_that_is_no_number_is_no_length_mismatch(self):
         with pytest.raises(ValueError, match="could not convert string to float") as exc:
             bin_window([(1.0, "a"), (1.0, 2.0)], (1.0, 1.0))
         assert not isinstance(exc.value, DimensionMismatch)
+
+    @pytest.mark.parametrize("points, delta", [
+        ([None, 1.0], (1.0,)),
+        ([[None, 1.0], [1.0, 2.0]], (1.0, 1.0)),
+    ], ids=["one_variable", "two_variables"])
+    def test_a_none_coordinate_is_no_number_where_a_nan_is_binned_alone(self, points, delta):
+        with pytest.raises(ValueError, match="a coordinate is None, not a number"):
+            bin_window(points, delta)
+        # numpy's float conversion reads the None as nan
+        assert bin_window(np.asarray(points, dtype=float), delta).states == ((0,), (1,))
 
 
 class TestBinWindow:

@@ -334,6 +334,16 @@ class TestDemo:
         assert lines[1].startswith("1967,")
         assert lines[-1].startswith("2013,")
 
+    @pytest.mark.parametrize("slope_range, selected", [("1975.2:1975.8", 0), ("1900:1967", 1)])
+    def test_slope_range_of_fewer_than_two_index_points_exits_1(self, capsys, slope_range,
+                                                                 selected):
+        code, out, err = run(["demo", "--sos", PUBLISHED_SOS, "--slope-range", slope_range],
+                             capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: DegenerateRange: --slope-range {slope_range} selects {selected} "
+                       "index point(s); need at least 2\n")
+
     def test_offline_demo_estimates_sos_by_default(self, capsys, tmp_path):
         out_json = tmp_path / "demo.json"
         code, _, _ = run(["demo", "--out-json", str(out_json)], capsys)
