@@ -13,13 +13,17 @@ does not follow it.
 
 UNRUN names the statements that may stay unrun, each by its file, its text
 (its lines, stripped and joined by one space) and a one-line reason.  To add
-one, copy the file and text a failing run prints.  Exits 0 only when tier-1
-passes, every statement that never ran is named in UNRUN, and every entry of
-UNRUN names a statement that exists and never ran.  pytest does not collect
-this file: its name does not start with test_.
+one, copy the file and text a failing run prints.  A reason that cites a
+test as test_<file>.py::<name>, such as the test that runs the statement in
+a child process, makes that test under tests/ required to pass in this run.
+Exits 0 only when tier-1 passes, every statement that never ran is named in
+UNRUN, every entry of UNRUN names a statement that exists and never ran, and
+every test an entry cites passed.  pytest does not collect this file: its
+name does not start with test_.
 """
 import ast
 import os
+import re
 import sys
 import threading
 import time
@@ -29,6 +33,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fisherinfo"
+CITED_TEST = re.compile(r"test_\w+\.py::\S+")
 
 # (file under src/fisherinfo, statement text, why tier-1 does not run it in its own process)
 UNRUN = [
@@ -73,8 +78,20 @@ def statements(path: Path):
             yield lines, " ".join(line.strip() for line in text_lines[first - 1:last])
 
 
-def traced_tier1(hits: set[tuple[str, int]]) -> int:
-    """Run tier-1 here, adding (file, line) to hits for each line run in the package."""
+class PassedTests:
+    """pytest plugin that gathers the node ids of the tests whose call passed."""
+
+    def __init__(self):
+        self.ids: set[str] = set()
+
+    def pytest_runtest_logreport(self, report):
+        if report.when == "call" and report.passed:
+            self.ids.add(report.nodeid)
+
+
+def traced_tier1(hits: set[tuple[str, int]], passed: PassedTests) -> int:
+    """Run tier-1 here, adding (file, line) to hits for each line run in the package
+    and the tests that passed to passed."""
     prefix = str(PACKAGE) + os.sep
 
     def in_package(frame, event, arg):
@@ -91,7 +108,7 @@ def traced_tier1(hits: set[tuple[str, int]]) -> int:
     sys.settrace(on_call)
     try:
         return pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-                            "--hypothesis-seed=0"])
+                            "--hypothesis-seed=0"], plugins=[passed])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -100,7 +117,8 @@ def traced_tier1(hits: set[tuple[str, int]]) -> int:
 def main() -> int:
     started = time.perf_counter()
     hits: set[tuple[str, int]] = set()
-    status = traced_tier1(hits)
+    passed = PassedTests()
+    status = traced_tier1(hits, passed)
     if status != 0:
         print(f"tier-1 fails (status {status}) under the tracer")
         return 1
@@ -120,6 +138,12 @@ def main() -> int:
     for name, text in sorted(listed - unrun):
         faults += 1
         print(f"STALE ENTRY: {name}: {text!r} ran or no longer exists")
+    for name, text, reason in UNRUN:
+        for cited in CITED_TEST.findall(reason):
+            if f"tests/{cited}" not in passed.ids:
+                faults += 1
+                print(f"CITED TEST NOT PASSED: {name}: {text!r}: tests/{cited} "
+                      "was not collected or did not pass")
     print(f"{len(unrun)} statement(s) never ran, {len(listed & unrun)} of them listed; "
           f"{faults} fault(s) in {time.perf_counter() - started:.0f} s")
     return 1 if faults else 0

@@ -1,8 +1,8 @@
 """Mutation check of the test suite: every planted one-line fault must fail tier-1.
 
 Run from anywhere as ``python tests/mutate.py``.  It copies src/, tests/,
-perfbench/ (tier-1 reads its input generators) and pyproject.toml into a
-temporary directory outside the checkout and runs tier-1 there once
+perfbench/ (tier-1 reads its input generators), tools/ (tier-1 tests them)
+and pyproject.toml into a temporary directory outside the checkout and runs tier-1 there once
 unchanged (which must pass).  Then, for each mutant, with that one line
 replaced, it runs the test file the mutant names, and all of tier-1 only
 when that file passes, each stopping at the first failure (-x).  Each
@@ -111,7 +111,7 @@ def main() -> int:
         copy = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache",
                                       "out", ".work")
-        for tree in ("src", "tests", "perfbench"):
+        for tree in ("src", "tests", "perfbench", "tools"):
             shutil.copytree(ROOT / tree, copy / tree, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", copy)
         for name, old, _, _ in MUTANTS:
