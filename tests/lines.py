@@ -11,19 +11,17 @@ Lines the compiler emits no code for, such as docstrings, are no statements
 here.  Code that runs only in a child process is not seen, since the tracer
 does not follow it.
 
-UNRUN names the statements that may stay unrun, each by its file, its text
-(its lines, stripped and joined by one space) and a one-line reason.  To add
-one, copy the file and text a failing run prints.  A reason that cites a
-test as test_<file>.py::<name>, such as the test that runs the statement in
-a child process, makes that test under tests/ required to pass in this run.
-Exits 0 only when tier-1 passes, every statement that never ran is named in
-UNRUN, every entry of UNRUN names a statement that exists and never ran, and
-every test an entry cites passed.  pytest does not collect this file: its
+UNRUN names the statements that may stay unrun because they run only in a
+child process, each by its file, its text (its lines, stripped and joined by
+one space) and the node id of the test that runs it there.  To add one, copy
+the file and text a failing run prints, and name that test.  Exits 0 only
+when tier-1 passes, every statement that never ran is named in UNRUN, every
+entry of UNRUN names a statement that exists and never ran, and the test
+every entry names passed in this run.  pytest does not collect this file: its
 name does not start with test_.
 """
 import ast
 import os
-import re
 import sys
 import threading
 import time
@@ -33,23 +31,22 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fisherinfo"
-CITED_TEST = re.compile(r"test_\w+\.py::\S+")
 
-# (file under src/fisherinfo, statement text, why tier-1 does not run it in its own process)
+# (file under src/fisherinfo, statement text, node id of the test that runs it in a
+# child process)
 UNRUN = [
     ("__init__.py", 'return importlib.import_module(f"{__name__}.{name}")',
-     "runs in a child process: test_core.py::TestNamespace::"
-     "test_submodules_resolve_after_a_bare_import"),
+     "tests/test_core.py::TestNamespace::test_submodules_resolve_after_a_bare_import"),
     ("cli.py", 'return f"warning: {category.__name__}: {message}\\n"',
-     "runs in a child process: test_cli.py::TestWarnings::test_each_warning_prints_as_one_line"),
+     "tests/test_cli.py::TestWarnings::test_each_warning_prints_as_one_line"),
     ("cli.py", "code = main()",
-     "runs in a child process: test_cli.py::TestExitCodes::test_process_statuses_and_no_traceback"),
+     "tests/test_cli.py::TestExitCodes::test_process_statuses_and_no_traceback"),
     ("cli.py", "gc.freeze()",
-     "runs in a child process: test_cli.py::TestExitCodes::test_process_statuses_and_no_traceback"),
+     "tests/test_cli.py::TestExitCodes::test_process_statuses_and_no_traceback"),
     ("cli.py", "sys.exit(code)",
-     "runs in a child process: test_cli.py::TestExitCodes::test_process_statuses_and_no_traceback"),
+     "tests/test_cli.py::TestExitCodes::test_process_statuses_and_no_traceback"),
     ("cli.py", "run()",
-     "runs in a child process: test_cli.py::TestExitCodes::test_process_statuses_and_no_traceback"),
+     "tests/test_cli.py::TestExitCodes::test_process_statuses_and_no_traceback"),
 ]
 
 
@@ -138,12 +135,11 @@ def main() -> int:
     for name, text in sorted(listed - unrun):
         faults += 1
         print(f"STALE ENTRY: {name}: {text!r} ran or no longer exists")
-    for name, text, reason in UNRUN:
-        for cited in CITED_TEST.findall(reason):
-            if f"tests/{cited}" not in passed.ids:
-                faults += 1
-                print(f"CITED TEST NOT PASSED: {name}: {text!r}: tests/{cited} "
-                      "was not collected or did not pass")
+    for name, text, test in UNRUN:
+        if test not in passed.ids:
+            faults += 1
+            print(f"CITED TEST NOT PASSED: {name}: {text!r}: {test} "
+                  "was not collected or did not pass")
     print(f"{len(unrun)} statement(s) never ran, {len(listed & unrun)} of them listed; "
           f"{faults} fault(s) in {time.perf_counter() - started:.0f} s")
     return 1 if faults else 0

@@ -2,29 +2,29 @@
 
 Run from anywhere in a checkout as
 
-    python tools/ab.py --base REV [--workload W ...] [--pairs N] [--seconds S]
+    python tools/ab.py --base REV [--workload W ...]
 
 The base side is the tree of REV, exported with ``git archive REV | tar -x``
 into a temporary directory that is deleted at the end; the change side is the
-working tree.  The command, the default run length (run_seconds), the
-workloads and the end-to-end metrics come from the working tree's
-BENCHMARK.json.  Both trees are compiled once, and the runs get this
-process's environment without PYTHONDONTWRITEBYTECODE, so no run compiles
-the package.  Pair k runs ``COMMAND --workload W --seed k --seconds S
---trace 0`` once in each tree, one run at a time: base first in odd pairs,
-change first in even ones.
+working tree.  The command, the run length (run_seconds), the workloads and
+the end-to-end metrics come from the working tree's BENCHMARK.json.  The
+runs get this process's environment without PYTHONDONTWRITEBYTECODE, so the
+benchmark's first, unsampled import writes each tree's bytecode caches.
+Each workload runs 10 pairs.  Pair k runs ``COMMAND --workload W --seed k
+--seconds run_seconds --trace 0`` once in each tree, one run at a time: base
+first in odd pairs, change first in even ones.
 
 For each workload and end-to-end metric it prints the base and change
 medians and interquartile ranges (IQR), the pairs the change wins (ties
 count for neither), and the median of the change/base ratios with an
 order-statistic interval: the j-th smallest and j-th largest ratio, for the
 largest j that covers the median ratio with at least 95 % probability (the
-2nd and 9th of 10 pairs, 97.9 %).  A gain is shown when at least ten pairs
-ran, the change wins at least nine tenths of them, and its median is better
-than the base's by more than the base's IQR.  The table comes first, then one JSON line with
-every run's values.  A run that exits non-zero or reports a result that is
-not correct stops the tool with exit 1 and names its pair.  This is a
-report, not a gate: it sets no bound.
+2nd and 9th of 10 pairs, 97.9 %).  The quartiles are perfbench/sweep.py's.
+A gain is shown when the change wins at least nine tenths of the pairs and
+its median is better than the base's by more than the base's IQR.  The table
+comes first, then one JSON line with every run's values.  A run that exits
+non-zero or reports a result that is not correct stops the tool with exit 1
+and names its pair.  This is a report, not a gate: it sets no bound.
 """
 import argparse
 import json
@@ -38,6 +38,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from sweep import summarise  # noqa: E402  (the benchmark's own quartiles)
+
+PAIRS = 10
 COVERAGE = 0.95   # least probability with which the ratio interval covers the median ratio
 
 
@@ -84,11 +88,6 @@ def interval_rank(n: int) -> tuple[int, float]:
     return j, coverage(j)
 
 
-def iqr(values: list[float]) -> float:
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q3 - q1
-
-
 def summarize(base: list[float], change: list[float], better: str) -> dict:
     """Compare one metric's paired values; better is "lower" or "higher"."""
     sign = 1.0 if better == "lower" else -1.0
@@ -96,25 +95,25 @@ def summarize(base: list[float], change: list[float], better: str) -> dict:
     wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
     ratios = sorted(c / b for b, c in zip(base, change))
     j, coverage = interval_rank(n)
-    base_median, change_median = statistics.median(base), statistics.median(change)
-    base_iqr = iqr(base)
+    base_q, change_q = summarise(base), summarise(change)
+    base_iqr = base_q["q3"] - base_q["q1"]
     return {
-        "base_median": base_median, "base_iqr": base_iqr,
-        "change_median": change_median, "change_iqr": iqr(change),
+        "base_median": base_q["median"], "base_iqr": base_iqr,
+        "change_median": change_q["median"], "change_iqr": change_q["q3"] - change_q["q1"],
         "wins": wins, "pairs": n,
         "ratio_median": statistics.median(ratios),
         "ratio_interval": [ratios[j - 1], ratios[-j]], "coverage": coverage,
-        "gain": (n >= 10 and 10 * wins >= 9 * n
-                 and sign * (base_median - change_median) > base_iqr),
+        "gain": (10 * wins >= 9 * n
+                 and sign * (base_q["median"] - change_q["median"]) > base_iqr),
         "base": base, "change": change,
     }
 
 
 def measure(command: list[str], trees: dict[str, Path], env: dict[str, str], workload: str,
-            pairs: int, seconds: float, metrics: list[str]) -> dict[str, dict[str, list[float]]]:
+            seconds: float, metrics: list[str]) -> dict[str, dict[str, list[float]]]:
     """Run the pairs of one workload; return each metric's values, by side, in pair order."""
     values = {name: {"base": [], "change": []} for name in metrics}
-    for k in range(1, pairs + 1):
+    for k in range(1, PAIRS + 1):
         order = ("base", "change") if k % 2 else ("change", "base")
         for side in order:
             try:
@@ -123,7 +122,7 @@ def measure(command: list[str], trees: dict[str, Path], env: dict[str, str], wor
                 raise Refused(f"{workload} pair {k}: the {side} run: {exc}") from None
             for name in metrics:
                 values[name][side].append(result["metrics"][name]["value"])
-        print(f"{workload} pair {k}/{pairs} done ({order[0]} first)", file=sys.stderr, flush=True)
+        print(f"{workload} pair {k}/{PAIRS} done ({order[0]} first)", file=sys.stderr, flush=True)
     return values
 
 
@@ -134,13 +133,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", required=True, help="git revision of the base side")
     parser.add_argument("--workload", action="append", choices=workloads,
                         help="a workload to run (repeatable; default: all)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
 
-    command = spec["command"]
+    command, seconds = spec["command"], spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     env = {name: value for name, value in os.environ.items()
            if name != "PYTHONDONTWRITEBYTECODE"}
@@ -153,13 +148,9 @@ def main(argv: list[str] | None = None) -> int:
                   f"{(exc.stderr or b'').decode(errors='replace').strip()}", file=sys.stderr)
             return 2
         trees = {"base": base_tree, "change": ROOT}
-        for tree in trees.values():
-            subprocess.run([command[0], "-m", "compileall", "-q", str(tree)], env=env,
-                           stdout=subprocess.DEVNULL, check=True)
         report = {}
         for workload in args.workload or workloads:
-            values = measure(command, trees, env, workload, args.pairs, args.seconds,
-                             list(better))
+            values = measure(command, trees, env, workload, seconds, list(better))
             report[workload] = {name: summarize(v["base"], v["change"], better[name])
                                 for name, v in values.items()}
     except Refused as exc:
@@ -168,8 +159,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         shutil.rmtree(base_tree, ignore_errors=True)
 
-    coverage = interval_rank(args.pairs)[1]
-    print(f"{args.pairs} pairs of {args.seconds:g} s, base {args.base} against the working "
+    coverage = interval_rank(PAIRS)[1]
+    print(f"{PAIRS} pairs of {seconds:g} s, base {args.base} against the working "
           f"tree; ratio = change/base, interval covers its median with {coverage:.1%}")
     print(f"{'workload':<12} {'metric':<14} {'base median [IQR]':>22} "
           f"{'change median [IQR]':>22} {'wins':>6} {'ratio [interval]':>26}  gain")
@@ -182,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
             ratio = f"{s['ratio_median']:.4f} [{lo:.4f}, {hi:.4f}]"
             print(f"{workload:<12} {name:<14} {base:>22} {change:>22} {wins:>6} {ratio:>26}  "
                   f"{'yes' if s['gain'] else 'no'}")
-    print(json.dumps({"base": args.base, "pairs": args.pairs, "seconds": args.seconds,
+    print(json.dumps({"base": args.base, "pairs": PAIRS, "seconds": seconds,
                       "coverage": coverage, "workloads": report}))
     return 0
 
