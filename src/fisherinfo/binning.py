@@ -26,16 +26,19 @@ class StateAssignment:
 
     states[k] holds the 0-based window-local indices of the points in the
     k-th discovered state, ascending; the first index of each state is its
-    center.  Every index 0..window_length-1 appears in exactly one state.
+    center.  The indices are exactly 0..window_length-1, each in one state.
     """
 
     states: tuple[tuple[int, ...], ...]
-    window_length: int
 
     def __post_init__(self):
         seen = sorted(i for state in self.states for i in state)
-        if seen != list(range(self.window_length)):
+        if seen != list(range(len(seen))):
             raise ValueError("states do not form a partition of the window")
+
+    @property
+    def window_length(self) -> int:
+        return sum(self.counts)
 
     @property
     def n_states(self) -> int:
@@ -153,4 +156,4 @@ def bin_window(points: Sequence[Sequence[float]], delta) -> StateAssignment:
         tuple((s + np.flatnonzero(members[0])).tolist())
         for s, _, members in _sweep(pts, delta, len(pts), 1)
     )
-    return StateAssignment(states=states, window_length=len(pts))
+    return StateAssignment(states=states)

@@ -29,15 +29,8 @@ from .core import (
 )
 from .engine import estimate_state_size, sliding_fi
 from .errors import DegenerateRange, DimensionMismatch, FisherInfoError, SosPrecedenceWarning
-from .io import (
-    ResultDocument,
-    emit_plot,
-    format_time_label,
-    format_time_labels,
-    read_csv,
-    write_results,
-)
-from .regimes import DEFAULT_SLOPE_TOL, classify_regime, local_maxima
+from .io import ResultDocument, emit_plot, format_time_labels, read_csv, write_results
+from .regimes import DEFAULT_SLOPE_TOL, classify_regime
 from .worldbank import (
     DEMO_COUNTRY,
     DEMO_YEARS,
@@ -216,7 +209,7 @@ def _slope_index_range(series, slope_range: tuple[float, float] | None):
     idx = np.flatnonzero((series.time >= lo) & (series.time <= hi))
     if len(idx) < 2:
         raise DegenerateRange(
-            f"--slope-range {format_time_label(lo)}:{format_time_label(hi)} "
+            f"--slope-range {':'.join(format_time_labels(slope_range))} "
             f"selects {len(idx)} index point(s); need at least 2"
         )
     return int(idx[0]), int(idx[-1])
@@ -232,7 +225,6 @@ def _run_pipeline(args, matrix: TimeSeriesMatrix, command: str) -> int:
         verdict = classify_regime(series, tol=args.slope_tol, index_range=idx_range)
     else:
         verdict = None
-    peaks = local_maxima(series)
 
     metadata = {
         "tool": "fisherinfo",
@@ -248,7 +240,7 @@ def _run_pipeline(args, matrix: TimeSeriesMatrix, command: str) -> int:
         "slope_range_labels": list(args.slope_range) if args.slope_range else None,
         **sos_meta,
     }
-    doc = ResultDocument(metadata=metadata, series=series, verdict=verdict, peaks=peaks)
+    doc = ResultDocument(metadata=metadata, series=series, verdict=verdict)
 
     if args.out_csv:
         write_results(doc, "csv", args.out_csv)
@@ -277,8 +269,8 @@ def _run_pipeline(args, matrix: TimeSeriesMatrix, command: str) -> int:
             f"(slope {verdict.slope:.6g} per step over {first}..{last}, "
             f"mean FI {verdict.mean_fi:.6g})"
         )
-    if peaks:
-        print(f"local maxima at: {', '.join(labels(peaks))}")
+    if doc.peaks:
+        print(f"local maxima at: {', '.join(labels(doc.peaks))}")
     return 0
 
 

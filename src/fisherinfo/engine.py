@@ -38,10 +38,11 @@ SD_SCALE = 2.0 ** -600  # takes any finite float below 2**424, where squares sta
 class FiSeries:
     """Index values for every full window, in time order, held as columns.
 
-    Window k covers rows start[k] .. end[k] inclusive (end = start +
-    window_size - 1); its index value fi[k] and state count m_states[k] are
-    stamped with time[k], the time label of row end[k].  The four stored
-    arrays are read-only copies of what the constructor was given.
+    Window k covers rows start[k] .. end[k] inclusive, which config fixes:
+    start = k * increment and end = start + window_size - 1.  Its index
+    value fi[k] and state count m_states[k] are stamped with time[k], the
+    time label of row end[k].  The three stored arrays are read-only copies
+    of what the constructor was given.
 
     Raises ValueError when the columns differ in length, a value lies
     outside (0, 8] or a state count is below 1.
@@ -50,16 +51,14 @@ class FiSeries:
     time: np.ndarray
     fi: np.ndarray
     m_states: np.ndarray
-    start: np.ndarray
     config: WindowConfig
 
     def __post_init__(self):
-        for name, dtype in (("time", float), ("fi", float), ("m_states", np.intp),
-                            ("start", np.intp)):
+        for name, dtype in (("time", float), ("fi", float), ("m_states", np.intp)):
             column = np.array(getattr(self, name), dtype=dtype)
             column.setflags(write=False)
             object.__setattr__(self, name, column)
-        if not len(self.time) == len(self.fi) == len(self.m_states) == len(self.start):
+        if not len(self.time) == len(self.fi) == len(self.m_states):
             raise ValueError("series columns differ in length")
         outside = ~((self.fi > 0.0) & (self.fi <= FI_MAX))
         if outside.any():
@@ -71,6 +70,10 @@ class FiSeries:
             raise ValueError(
                 f"state count must be >= 1, got {int(self.m_states[too_few.argmax()])}"
             )
+
+    @property
+    def start(self) -> np.ndarray:
+        return np.arange(len(self.fi)) * self.config.increment
 
     @property
     def end(self) -> np.ndarray:
@@ -212,6 +215,5 @@ def sliding_fi(
         time=matrix.times[start + (w - 1)],
         fi=np.asarray(scores)[inverse.reshape(-1)],
         m_states=np.count_nonzero(counts, axis=1),
-        start=start,
         config=cfg,
     )

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
@@ -25,27 +25,23 @@ import numpy as np
 from .core import TimeSeriesMatrix, validate_matrix
 from .engine import FI_MAX, FiSeries
 from .errors import EmptyInput, MissingValue, NonUniformTimeAxis, ParseError
-from .regimes import RegimeVerdict
+from .regimes import RegimeVerdict, local_maxima
 
 PLOT_Y_RANGE = (0.0, FI_MAX)
 
 
-def format_time_label(t: float) -> str:
-    """Render a time stamp the way it was most likely written (1967, not 1967.0)."""
-    t = float(t)
-    if t.is_integer():
-        return str(int(t))
-    return repr(t)
+def format_time_labels(times: np.ndarray | Sequence[float]) -> list[str]:
+    """Render each time stamp the way it was most likely written (1967, not 1967.0).
 
-
-def format_time_labels(times: np.ndarray) -> list[str]:
-    """format_time_label of every stamp in times, rendered as one column."""
+    An integral stamp renders as its integer, any other as its float repr.
+    """
     t = np.asarray(times, dtype=float)
     # an integral float below 2**53 is exactly its int64, which str renders
     whole = (np.trunc(t) == t) & (np.abs(t) < 2.0 ** 53)
     labels = list(map(str, np.where(whole, t, 0.0).astype(np.int64).tolist()))
     for i in np.flatnonzero(~whole).tolist():
-        labels[i] = format_time_label(t[i])
+        x = float(t[i])
+        labels[i] = str(int(x)) if x.is_integer() else repr(x)
     return labels
 
 
@@ -200,7 +196,11 @@ class ResultDocument:
     metadata: dict
     series: FiSeries
     verdict: RegimeVerdict | None = None
-    peaks: tuple[int, ...] = field(default_factory=tuple)
+
+    @cached_property
+    def peaks(self) -> tuple[int, ...]:
+        """local_maxima of the series."""
+        return local_maxima(self.series)
 
     @cached_property
     def columns(self) -> tuple[list[str], list[str], list[str]]:

@@ -9,16 +9,10 @@ statement, or the header of a compound one (its decorators and the lines
 before its body); it ran when the interpreter reported any of its lines.
 Lines the compiler emits no code for, such as docstrings, are no statements
 here.  Code that runs only in a child process is not seen, since the tracer
-does not follow it.
+does not follow it, so every statement must also run in this process.
 
-UNRUN names the statements that may stay unrun because they run only in a
-child process, each by its file, its text (its lines, stripped and joined by
-one space) and the node id of the test that runs it there.  To add one, copy
-the file and text a failing run prints, and name that test.  Exits 0 only
-when tier-1 passes, every statement that never ran is named in UNRUN, every
-entry of UNRUN names a statement that exists and never ran, and the test
-every entry names passed in this run.  pytest does not collect this file: its
-name does not start with test_.
+Exits 0 only when tier-1 passes and every statement ran.  pytest does not
+collect this file: its name does not start with test_.
 """
 import ast
 import os
@@ -31,23 +25,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fisherinfo"
-
-# (file under src/fisherinfo, statement text, node id of the test that runs it in a
-# child process)
-UNRUN = [
-    ("__init__.py", 'return importlib.import_module(f"{__name__}.{name}")',
-     "tests/test_core.py::TestNamespace::test_submodules_resolve_after_a_bare_import"),
-    ("cli.py", 'return f"warning: {category.__name__}: {message}\\n"',
-     "tests/test_cli.py::TestWarnings::test_each_warning_prints_as_one_line"),
-    ("cli.py", "code = main()",
-     "tests/test_cli.py::TestExitCodes::test_process_statuses_and_no_traceback"),
-    ("cli.py", "gc.freeze()",
-     "tests/test_cli.py::TestExitCodes::test_process_statuses_and_no_traceback"),
-    ("cli.py", "sys.exit(code)",
-     "tests/test_cli.py::TestExitCodes::test_process_statuses_and_no_traceback"),
-    ("cli.py", "run()",
-     "tests/test_cli.py::TestExitCodes::test_process_statuses_and_no_traceback"),
-]
 
 
 def code_lines(code) -> set[int]:
@@ -75,20 +52,8 @@ def statements(path: Path):
             yield lines, " ".join(line.strip() for line in text_lines[first - 1:last])
 
 
-class PassedTests:
-    """pytest plugin that gathers the node ids of the tests whose call passed."""
-
-    def __init__(self):
-        self.ids: set[str] = set()
-
-    def pytest_runtest_logreport(self, report):
-        if report.when == "call" and report.passed:
-            self.ids.add(report.nodeid)
-
-
-def traced_tier1(hits: set[tuple[str, int]], passed: PassedTests) -> int:
-    """Run tier-1 here, adding (file, line) to hits for each line run in the package
-    and the tests that passed to passed."""
+def traced_tier1(hits: set[tuple[str, int]]) -> int:
+    """Run tier-1 here, adding (file, line) to hits for each line run in the package."""
     prefix = str(PACKAGE) + os.sep
 
     def in_package(frame, event, arg):
@@ -105,7 +70,7 @@ def traced_tier1(hits: set[tuple[str, int]], passed: PassedTests) -> int:
     sys.settrace(on_call)
     try:
         return pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-                            "--hypothesis-seed=0"], plugins=[passed])
+                            "--hypothesis-seed=0"])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -114,35 +79,20 @@ def traced_tier1(hits: set[tuple[str, int]], passed: PassedTests) -> int:
 def main() -> int:
     started = time.perf_counter()
     hits: set[tuple[str, int]] = set()
-    passed = PassedTests()
-    status = traced_tier1(hits, passed)
+    status = traced_tier1(hits)
     if status != 0:
         print(f"tier-1 fails (status {status}) under the tracer")
         return 1
 
-    unrun = set()
+    unrun = 0
     for path in sorted(PACKAGE.rglob("*.py")):
         name = path.relative_to(PACKAGE).as_posix()
         for lines, text in statements(path):
             if not any((str(path), line) in hits for line in lines):
-                unrun.add((name, text))
+                unrun += 1
                 print(f"never ran: {name}:{min(lines)}: {text}")
-    listed = {(name, text) for name, text, _ in UNRUN}
-    faults = 0
-    for name, text in sorted(unrun - listed):
-        faults += 1
-        print(f"NOT LISTED: {name}: {text!r}")
-    for name, text in sorted(listed - unrun):
-        faults += 1
-        print(f"STALE ENTRY: {name}: {text!r} ran or no longer exists")
-    for name, text, test in UNRUN:
-        if test not in passed.ids:
-            faults += 1
-            print(f"CITED TEST NOT PASSED: {name}: {text!r}: {test} "
-                  "was not collected or did not pass")
-    print(f"{len(unrun)} statement(s) never ran, {len(listed & unrun)} of them listed; "
-          f"{faults} fault(s) in {time.perf_counter() - started:.0f} s")
-    return 1 if faults else 0
+    print(f"{unrun} statement(s) never ran in {time.perf_counter() - started:.0f} s")
+    return 1 if unrun else 0
 
 
 if __name__ == "__main__":

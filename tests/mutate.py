@@ -36,6 +36,9 @@ MUTANTS = [
     ("binning.py", "pts.ndim not in (1, 2)", "pts.ndim > 2", "test_binning.py"),
     # a None coordinate binned as a nan
     ("binning.py", "if np.isnan(pts).any() and", "if False and", "test_binning.py"),
+    # a state assignment holding one index twice accepted as a partition
+    ("binning.py", "seen = sorted(i for state in self.states for i in state)",
+     "seen = sorted({i for state in self.states for i in state})", "test_binning.py"),
     # a point left unbinned after it joins a state, so it joins later states too
     ("binning.py", "unbinned[seeding, s:] &= ~members", "pass", "test_engine.py"),
     # the right zero pad dropped
@@ -48,6 +51,9 @@ MUTANTS = [
      "test_engine.py"),
     # a finite value with an infinite square no longer an OverflowError
     ("engine.py", "if not math.isfinite(total) and", "if False and", "test_engine.py"),
+    # each window's first row taken one row apart whatever the increment
+    ("engine.py", "return np.arange(len(self.fi)) * self.config.increment",
+     "return np.arange(len(self.fi))", "test_engine.py"),
     # a plateau counted as a peak
     ("regimes.py", "(inner > values[:-2])", "(inner >= values[:-2])", "test_regimes.py"),
     # the tolerance slack dropped
@@ -63,6 +69,8 @@ MUTANTS = [
      'line {reader.line_num - 1}: {exc}", line=reader.line_num - 1)', "test_io.py"),
     # the bad byte's line counted one too low
     ("io.py", 'line = 1 + head.count("\\n")', 'line = head.count("\\n")', "test_io.py"),
+    # a document's peaks left empty
+    ("io.py", "return local_maxima(self.series)", "return ()", "test_io.py"),
     # a spacing exactly on the tolerance refused
     ("core.py", "np.abs(spacings - ref) > SPACING_RTOL", "np.abs(spacings - ref) >= SPACING_RTOL",
      "test_core.py"),

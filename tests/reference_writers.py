@@ -9,11 +9,24 @@ from __future__ import annotations
 
 import json
 
-from fisherinfo.io import PLOT_Y_RANGE, format_time_label
+from fisherinfo.io import PLOT_Y_RANGE
+
+
+def _label(t: float) -> str:
+    """A time stamp as it was most likely written (1967, not 1967.0)."""
+    t = float(t)
+    return str(int(t)) if t.is_integer() else repr(t)
 
 
 def _labels(series) -> list[str]:
-    return [format_time_label(t) for t in series.time.tolist()]
+    return [_label(t) for t in series.time.tolist()]
+
+
+def _window_rows(series) -> tuple[list[int], list[int]]:
+    """The first and last row of each window: window k starts k increments in."""
+    w, inc = series.config.window_size, series.config.increment
+    starts = [k * inc for k in range(len(series))]
+    return starts, [a + w - 1 for a in starts]
 
 
 def csv_text(doc) -> str:
@@ -35,12 +48,16 @@ _JSON_POINT = (
 )
 
 
+def _peaks(fis: list[float]) -> list[int]:
+    return [i for i in range(1, len(fis) - 1) if fis[i - 1] < fis[i] > fis[i + 1]]
+
+
 def json_text(doc) -> str:
     series = doc.series
     points = "[]"
     if len(series):
         columns = (_labels(series), series.fi.tolist(), series.m_states.tolist(),
-                   series.start.tolist(), series.end.tolist())
+                   *_window_rows(series))
         points = "[\n" + ",\n".join(
             _JSON_POINT.format(t, fi, m, a, b) for t, fi, m, a, b in zip(*columns)
         ) + "\n]"
@@ -53,7 +70,7 @@ def json_text(doc) -> str:
         "metadata": json.dumps(doc.metadata, indent=2),
         "fi_points": points,
         "verdict": json.dumps(verdict, indent=2),
-        "peaks": json.dumps(list(doc.peaks), indent=2),
+        "peaks": json.dumps(_peaks(series.fi.tolist()), indent=2),
     }
     body = ",\n".join(f'  "{key}": ' + text.replace("\n", "\n  ") for key, text in members.items())
     return "{\n" + body + "\n}\n"
@@ -65,7 +82,7 @@ _ML, _MR, _MT, _MB = 70, 24, 24, 56
 
 def svg_text(series) -> str:
     y_lo, y_hi = PLOT_Y_RANGE
-    steps = series.end.astype(float).tolist()
+    steps = [float(b) for b in _window_rows(series)[1]]
     x_lo, x_hi = steps[0], steps[-1]
 
     def sx(step: float) -> float:
@@ -106,7 +123,7 @@ def svg_text(series) -> str:
         out.append(f'<line x1="{xx:.2f}" y1="{y0}" x2="{xx:.2f}" y2="{y0 + 4}" stroke="black"/>')
         out.append(
             f'<text x="{xx:.2f}" y="{y0 + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{format_time_label(series.time[i])}</text>'
+            f'font-family="sans-serif" font-size="12">{_label(series.time[i])}</text>'
         )
     out.append(
         f'<text x="{(x0 + x1) / 2:.2f}" y="{_H - 14}" text-anchor="middle" '

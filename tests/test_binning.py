@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -363,13 +364,16 @@ class TestBinWindows:
 
 
 class TestStateAssignment:
-    def test_rejects_non_partition(self):
-        with pytest.raises(ValueError):
-            StateAssignment(states=((0, 1), (1, 2)), window_length=3)
-        with pytest.raises(ValueError):
-            StateAssignment(states=((0,),), window_length=2)
+    @pytest.mark.parametrize("states", [((0, 1), (1, 2)), ((0, 2),), ((1,),), ((0, 0),)])
+    def test_rejects_a_repeated_or_missing_index(self, states):
+        with pytest.raises(ValueError, match="partition"):
+            StateAssignment(states=states)
 
     def test_counts(self):
-        a = StateAssignment(states=((0, 2), (1,)), window_length=3)
+        a = StateAssignment(states=((0, 2), (1,)))
         assert a.counts == (2, 1)
         assert a.n_states == 2
+
+    def test_window_length_is_the_number_of_indices(self):
+        assert StateAssignment(states=((0, 2), (1, 3, 4))).window_length == 5
+        assert [field.name for field in dataclasses.fields(StateAssignment)] == ["states"]

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -69,6 +70,18 @@ class TestCompute:
         assert len(payload["fi_points"]) == 1
         assert out_svg.read_text().startswith("<svg")
 
+    def test_json_window_rows_follow_the_increment(self, capsys, tmp_path):
+        path = tmp_path / "thirty.csv"
+        path.write_text("t,a\n" + "".join(f"{t},{t % 5}\n" for t in range(1, 31)))
+        out_json = tmp_path / "fi.json"
+        code, _, _ = run(["compute", str(path), "--sos", "1", "--increment", "3",
+                          "--out-json", str(out_json)], capsys)
+        assert code == 0
+        points = json.loads(out_json.read_text())["fi_points"]
+        assert [p["window_start_index"] for p in points] == [3 * k for k in range(8)]
+        assert [p["window_end_index"] for p in points] == [3 * k + 7 for k in range(8)]
+        assert [p["time"] for p in points] == [3 * k + 8 for k in range(8)]
+
     def test_estimated_sos_is_the_default(self, worked_csv_path, capsys, tmp_path):
         out_json = tmp_path / "fi.json"
         code, _, _ = run(
@@ -126,15 +139,20 @@ class TestCompute:
         path.write_text("t,a\n" + "".join(f"{t},{t % 7}\n" for t in range(1, 208)))
         outputs = ["--out-csv", str(tmp_path / "fi.csv"), "--out-json", str(tmp_path / "fi.json"),
                    "--plot", str(tmp_path / "fi.svg")]
-        with mock.patch.object(fio, "format_time_label", wraps=fio.format_time_label) as in_io, \
-                mock.patch.object(cli, "format_time_label", wraps=cli.format_time_label) as in_cli:
+        with mock.patch.object(fio, "format_time_labels", wraps=fio.format_time_labels) as in_io, \
+                mock.patch.object(cli, "format_time_labels", wraps=cli.format_time_labels) as in_cli:
             code, out, _ = run(["compute", str(path), "--sos", "1", *outputs], capsys)
         assert code == 0
         assert "200 index point(s), 8..207" in out
-        # one column for both writers and the SVG's ticks; stdout renders what
-        # it prints (first, last, the verdict's range, the peaks) as columns too
-        assert in_io.call_count <= 200 + 10
-        assert in_cli.call_count == 0
+
+        def rendered(calls) -> int:
+            return sum(len(call.args[0]) for call in calls.call_args_list)
+
+        # one column for both writers and the SVG's ticks; stdout renders only what
+        # it prints: first, last, the verdict's range and the peaks
+        assert rendered(in_io) <= 200 + 10
+        (maxima,) = [line for line in out.splitlines() if line.startswith("local maxima at: ")]
+        assert rendered(in_cli) == 2 + 2 + len(maxima.split(", "))
 
     def test_csv_and_json_share_one_rendering_of_each_column(self, capsys, tmp_path):
         path = tmp_path / "long.csv"
@@ -270,6 +288,10 @@ class TestWarnings:
         assert lines[1].startswith("warning: ConstantVariableWarning: ")
         assert ".py:" not in done.stderr
 
+    def test_warning_format_is_one_line(self):
+        text = cli._format_warning("a message", SosPrecedenceWarning, "/x/cli.py", 7, "src")
+        assert text == "warning: SosPrecedenceWarning: a message\n"
+
     def test_step_beyond_the_float_range_exits_1_without_a_warning(self, tmp_path, capsys):
         path = tmp_path / "wide.csv"
         path.write_text("t,a\n-1.7e308,1\n1.7e308,1\n1.79e308,1\n")
@@ -334,11 +356,13 @@ class TestDemo:
         assert lines[1].startswith("1967,")
         assert lines[-1].startswith("2013,")
 
-    @pytest.mark.parametrize("slope_range, selected", [("1975.2:1975.8", 0), ("1900:1967", 1)])
+    @pytest.mark.parametrize("slope_range, window, selected", [
+        ("1975.2:1975.8", "8", 0), ("1900:1967", "8", 1), ("-inf:inf", "54", 1),
+    ])
     def test_slope_range_of_fewer_than_two_index_points_exits_1(self, capsys, slope_range,
-                                                                 selected):
-        code, out, err = run(["demo", "--sos", PUBLISHED_SOS, "--slope-range", slope_range],
-                             capsys)
+                                                                 window, selected):
+        code, out, err = run(["demo", "--sos", PUBLISHED_SOS, "--window-size", window,
+                              f"--slope-range={slope_range}"], capsys)
         assert code == 1
         assert out == ""
         assert err == (f"error: DegenerateRange: --slope-range {slope_range} selects {selected} "
@@ -952,6 +976,29 @@ class TestProcessEntry:
         else:
             assert main(argv) == status
         assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_run_exits_with_mains_status_after_the_freeze(self, worked_csv_path, capsys):
+        argv = ["fisherinfo", "compute", str(worked_csv_path), "--sos", "0.5,1"]
+        try:
+            with mock.patch.object(sys, "argv", argv), pytest.raises(SystemExit) as exc:
+                cli.run()
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("1 index point(s), 8..8, window 8")
+
+    def test_module_run_as_main_calls_run(self, worked_csv_path, capsys):
+        argv = ["fisherinfo.cli", "compute", str(worked_csv_path), "--sos", "0.5,1"]
+        try:
+            # runpy warns that it runs a module that is already imported
+            with mock.patch.object(sys, "argv", argv), pytest.raises(SystemExit) as exc, \
+                    pytest.warns(RuntimeWarning, match="'fisherinfo.cli' found in sys.modules"):
+                runpy.run_module("fisherinfo.cli", run_name="__main__")
+        finally:
+            gc.unfreeze()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("1 index point(s), 8..8, window 8")
 
     def test_console_script_is_run(self):
         # read as text: Python 3.10 has no tomllib

@@ -426,6 +426,10 @@ class TestNamespace:
         )
         assert done.stdout.strip() == "[]"
 
+    def test_getattr_returns_each_submodule(self):
+        for name in SUBMODULES:
+            assert fisherinfo.__getattr__(name) is importlib.import_module(f"fisherinfo.{name}")
+
     def test_submodules_resolve_after_a_bare_import(self):
         probe = (
             "import fisherinfo; "

@@ -223,12 +223,9 @@ def _check_every_output(directory, t0, rows, w, inc, estimate, slope_points):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SmallWindowWarning)
         config = WindowConfig(w, inc)
-    start = np.arange(len(fis)) * inc
-    oracle_series = FiSeries(time=t0 + start + (w - 1), fi=fis,
-                             m_states=[len(c) for c in counts_per_window], start=start,
-                             config=config)
-    expected_doc = ResultDocument(metadata=expected_meta, series=oracle_series, verdict=verdict,
-                                  peaks=peaks)
+    oracle_series = FiSeries(time=t0 + np.arange(len(fis)) * inc + (w - 1), fi=fis,
+                             m_states=[len(c) for c in counts_per_window], config=config)
+    expected_doc = ResultDocument(metadata=expected_meta, series=oracle_series, verdict=verdict)
     assert files["csv"] == ref.csv_text(expected_doc)
     assert files["json"] == ref.json_text(expected_doc)
     assert files["svg"] == ref.svg_text(oracle_series)

@@ -262,7 +262,7 @@ class TestFisherIndex:
 
 class TestFiSeries:
     def make(self, **columns):
-        fields = dict(time=[1.0, 2.0], fi=[8.0, 2.5], m_states=[1, 3], start=[0, 3])
+        fields = dict(time=[1.0, 2.0], fi=[8.0, 2.5], m_states=[1, 3])
         fields.update(columns)
         return FiSeries(**fields, config=WindowConfig(8, 3))
 
@@ -274,9 +274,16 @@ class TestFiSeries:
         assert series.time.tolist() == [1.0, 2.0]
         assert series.m_states.tolist() == [1, 3]
 
-    def test_holds_the_four_columns_and_the_window_config_only(self):
+    def test_holds_the_three_columns_and_the_window_config_only(self):
         names = [field.name for field in dataclasses.fields(FiSeries)]
-        assert names == ["time", "fi", "m_states", "start", "config"]
+        assert names == ["time", "fi", "m_states", "config"]
+
+    @pytest.mark.parametrize("increment", [1, 3, 8])
+    def test_window_rows_are_derived_from_the_config(self, increment):
+        series = FiSeries([1.0, 2.0, 3.0, 4.0], [8.0, 4.0, 2.0, 1.0], [1, 2, 3, 4],
+                          WindowConfig(8, increment))
+        assert series.start.tolist() == [k * increment for k in range(4)]
+        assert series.end.tolist() == [k * increment + 7 for k in range(4)]
 
     def test_columns_are_read_only_copies(self):
         fi = np.array([8.0, 2.5])
@@ -291,7 +298,7 @@ class TestFiSeries:
         ({"fi": [0.0, 2.5]}, r"index value 0\.0 outside"),
         ({"fi": [8.0, math.nan]}, r"index value nan outside"),
         ({"m_states": [1, 0]}, r"state count must be >= 1, got 0"),
-        ({"start": [0]}, r"columns differ in length"),
+        ({"time": [1.0]}, r"columns differ in length"),
     ])
     def test_invalid_columns_rejected(self, columns, message):
         with pytest.raises(ValueError, match=message):

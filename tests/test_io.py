@@ -1,6 +1,7 @@
 import hashlib
 import io as stdio
 import json
+import math
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
@@ -26,12 +27,13 @@ from fisherinfo import (
     WindowConfig,
     classify_regime,
     emit_plot,
+    local_maxima,
     read_csv,
     sliding_fi,
     validate_matrix,
     write_results,
 )
-from fisherinfo.io import format_time_label
+from fisherinfo.io import format_time_labels
 
 import reference_writers as ref
 from conftest import WORKED_CSV
@@ -47,7 +49,7 @@ def demo_series():
 
 
 def empty_series():
-    return FiSeries(time=[], fi=[], m_states=[], start=[], config=WindowConfig(8, 1))
+    return FiSeries(time=[], fi=[], m_states=[], config=WindowConfig(8, 1))
 
 
 def make_doc(series, verdict=None):
@@ -371,8 +373,7 @@ class TestBulkIngest:
 
 class TestWriteResults:
     def test_csv_golden_line(self, tmp_path):
-        series = FiSeries(time=[1967.0], fi=[2.136], m_states=[4], start=[0],
-                          config=WindowConfig(8, 1))
+        series = FiSeries(time=[1967.0], fi=[2.136], m_states=[4], config=WindowConfig(8, 1))
         out = tmp_path / "out.csv"
         write_results(make_doc(series), "csv", out)
         lines = out.read_text().splitlines()
@@ -393,10 +394,7 @@ class TestWriteResults:
 
     def test_json_document_structure(self, demo_series, tmp_path):
         verdict = classify_regime(demo_series)
-        doc = ResultDocument(
-            metadata={"window_size": 8}, series=demo_series, verdict=verdict,
-            peaks=(1, 5),
-        )
+        doc = ResultDocument(metadata={"window_size": 8}, series=demo_series, verdict=verdict)
         out = tmp_path / "out.json"
         write_results(doc, "json", out)
         payload = json.loads(out.read_text())
@@ -405,17 +403,21 @@ class TestWriteResults:
         assert payload["fi_points"][0]["time"] == 1967
         assert payload["fi_points"][0]["fi"] == demo_series.fi[0]
         assert payload["verdict"]["category"] in {"stable", "declining", "increasing"}
-        assert payload["peaks"] == [1, 5]
+        # the document derives its peaks from its series
+        assert len(local_maxima(demo_series)) >= 2
+        assert doc.peaks == local_maxima(demo_series)
+        assert payload["peaks"] == list(doc.peaks)
 
-    @pytest.mark.parametrize("times", [[1967.0, 1968.0], [0.5, 1.5], [-1e17, 1e17 - 1.0]])
+    @pytest.mark.parametrize("times", [[1967.0, 1968.0, 1969.0], [0.5, 1.5, 2.5],
+                                       [-1e17, 0.0, 1e17 - 1.0]])
     @pytest.mark.parametrize("verdict", [True, False])
-    @pytest.mark.parametrize("peaks", [(), (0,), (1, 5)])
-    def test_json_matches_the_standard_encoder(self, times, verdict, peaks):
-        series = FiSeries(time=times, fi=[8.0, 0.1 + 0.2], m_states=[1, 7], start=[0, 3],
-                          config=WindowConfig(8, 3))
+    @pytest.mark.parametrize("values", [[8.0, 0.1 + 0.2, 8.0], [0.1 + 0.2, 8.0, 4.0],
+                                        [8.0, 8.0, 0.1 + 0.2]])
+    def test_json_matches_the_standard_encoder(self, times, verdict, values):
+        series = FiSeries(time=times, fi=values, m_states=[1, 7, 1], config=WindowConfig(8, 3))
         metadata = {"tool": "fisherinfo", "state_size": [0.5], "nested": {"k": None},
                     "empty": {}, "label": "caf\u00e9 \"q\"\n"}
-        doc = ResultDocument(metadata=metadata, series=series, peaks=peaks,
+        doc = ResultDocument(metadata=metadata, series=series,
                              verdict=classify_regime(series) if verdict else None)
         out = stdio.StringIO()
         write_results(doc, "json", out)
@@ -425,10 +427,10 @@ class TestWriteResults:
                 {"time": int(t) if t.is_integer() else t, "fi": fi, "m_states": m,
                  "window_start_index": a, "window_end_index": b}
                 for t, fi, m, a, b in zip(times, series.fi.tolist(), series.m_states.tolist(),
-                                          series.start.tolist(), series.end.tolist())
+                                          [0, 3, 6], [7, 10, 13])
             ],
             "verdict": None,
-            "peaks": list(peaks),
+            "peaks": [1] if values[0] < values[1] > values[2] else [],
         }
         if verdict:
             v = doc.verdict
@@ -481,21 +483,19 @@ def documents(draw):
     n = draw(st.integers(1, 60))
     fi_value = st.sampled_from(_FEW_FI) if draw(st.booleans()) else _ANY_FI
     window = draw(st.integers(8, 40))
-    start = sorted(draw(st.lists(st.integers(0, 10 ** 9), min_size=n, max_size=n)))
     series = FiSeries(
         time=draw(st.lists(_TIME, min_size=n, max_size=n)),
         fi=draw(st.lists(fi_value, min_size=n, max_size=n)),
         m_states=draw(st.lists(st.integers(1, 300), min_size=n, max_size=n)),
-        start=start, config=WindowConfig(window, 1),
+        config=WindowConfig(window, draw(st.integers(1, window))),
     )
     verdict = draw(st.none() | st.builds(
         RegimeVerdict, st.sampled_from(list(RegimeCategory)),
         st.floats(allow_nan=False, allow_infinity=False),
         st.floats(5e-324, 8.0), st.tuples(st.integers(0, 60), st.integers(0, 60)),
     ))
-    peaks = tuple(draw(st.lists(st.integers(0, 60), max_size=10)))
     metadata = {"window_size": window, "state_size": [0.5], "k": None}
-    return ResultDocument(metadata=metadata, series=series, verdict=verdict, peaks=peaks)
+    return ResultDocument(metadata=metadata, series=series, verdict=verdict)
 
 
 class TestWritersMatchPerRowReference:
@@ -565,16 +565,15 @@ class TestEmitPlot:
         with pytest.raises(EmptyInput):
             emit_plot(empty, tmp_path / "never.svg")
 
-    @pytest.mark.parametrize("n, one_end", [*((n, False) for n in range(1, 41)),
-                                            (2, True), (5, True)])
-    def test_matches_reference_at_every_tick_count(self, n, one_end):
-        # n = 1..40 gives every x-tick stride (n - 1) // 7 from 0 to 5; windows
-        # that all end on one row put every vertex at the centre, as a lone point is
+    @pytest.mark.parametrize("n, increment", [*((n, 1 + n % 8) for n in range(1, 41)),
+                                              (2, 1), (5, 8)])
+    def test_matches_reference_at_every_tick_count(self, n, increment):
+        # n = 1..40 gives every x-tick stride (n - 1) // 7 from 0 to 5, over
+        # increments 1..8; a lone point is drawn at the centre
         rng = np.random.default_rng(n)
-        start = np.full(n, 3) if one_end else np.cumsum(rng.integers(1, 5, n))
-        series = FiSeries(time=1900.0 + 0.5 * start, fi=rng.uniform(0.01, 8.0, n),
-                          m_states=rng.integers(1, 9, n), start=start,
-                          config=WindowConfig(8, 1))
+        series = FiSeries(time=1900.0 + 0.5 * increment * np.arange(n),
+                          fi=rng.uniform(0.01, 8.0, n), m_states=rng.integers(1, 9, n),
+                          config=WindowConfig(8, increment))
         out = stdio.StringIO()
         emit_plot(series, out)
         assert out.getvalue() == ref.svg_text(series)
@@ -588,9 +587,13 @@ class TestEmitPlot:
 
 class TestTimeLabels:
     def test_integral_labels_render_as_integers(self):
-        assert format_time_label(1967.0) == "1967"
-        assert format_time_label(8.0) == "8"
+        assert format_time_labels([1967.0, 8.0, -0.0, 2.0 ** 60]) == [
+            "1967", "8", "0", "1152921504606846976"]
 
     def test_fractional_labels_keep_precision(self):
-        assert format_time_label(1.5) == "1.5"
-        assert float(format_time_label(0.1)) == 0.1
+        assert format_time_labels([1.5, 0.1, 1975.2, -1e-310]) == [
+            "1.5", "0.1", "1975.2", "-1e-310"]
+        assert float(format_time_labels([0.1])[0]) == 0.1
+
+    def test_non_finite_labels_render_as_their_repr(self):
+        assert format_time_labels((-math.inf, math.inf, math.nan)) == ["-inf", "inf", "nan"]

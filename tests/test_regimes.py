@@ -36,7 +36,7 @@ def as_series(values, increment=3):
     """An FiSeries holding values, its windows increment steps apart."""
     n = len(values)
     return FiSeries(time=np.arange(n) * float(increment), fi=values, m_states=np.ones(n),
-                    start=np.arange(n) * increment, config=WindowConfig())
+                    config=WindowConfig(8, increment))
 
 
 def slope(series, index_range=None):
